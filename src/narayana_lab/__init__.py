@@ -32,7 +32,7 @@ from .partitions import (
     enumerate_partitions,
     z_of,
 )
-from .poly import PolyQQ, poly_eval
+from .poly import PolyQQ
 from .rationals import BigRational, gen_binomial
 from .sequences import (
     catalan,
@@ -47,7 +47,7 @@ from .sequences import (
     schroeder,
     type_b_w,
 )
-from .series import TruncSeries, series_div, series_int_pow, series_mul, series_reverse
+from .series import TruncSeries
 
 __version__ = "0.1.0"
 
@@ -79,15 +79,10 @@ __all__ = [
     "narayana_power_sum",
     "narayana_schur",
     "p_of",
-    "poly_eval",
     "registered_ids",
     "run_suite",
     "s_of",
     "schroeder",
-    "series_div",
-    "series_int_pow",
-    "series_mul",
-    "series_reverse",
     "sfraction",
     "strinc_oracle",
     "type_b_w",

@@ -70,10 +70,6 @@ def _default_seed() -> int:
         ) from None
 
 
-def _coeff_str(c: Coeff) -> str:
-    return str(c)
-
-
 def _coeff_json(c: Coeff):
     return c if isinstance(c, int) else str(c)
 
@@ -103,7 +99,7 @@ def _cmd_eval(args) -> int:
             coeffs = result.q_coefficients()
         except ValueError as exc:
             return _usage_error(f"csv output needs a plain polynomial in q: {exc}")
-        print(", ".join(_coeff_str(c) for c in coeffs))
+        print(", ".join(str(c) for c in coeffs))
     return 0
 
 
@@ -154,15 +150,13 @@ def _cmd_table(args) -> int:
             cells = (
                 value.q_coefficients() if isinstance(value, PolyQQ) else [value]
             )
-            print(", ".join([str(n)] + [_coeff_str(c) for c in cells]))
+            print(", ".join([str(n)] + [str(c) for c in cells]))
     return 0
 
 
 def _cmd_verify(args) -> int:
     try:
-        report = run_suite(
-            ids=args.id or None, max_n=args.max_n, seed=args.seed, jobs=args.jobs
-        )
+        report = run_suite(ids=args.id or None, max_n=args.max_n, seed=args.seed)
     except UnknownIdentityError as exc:
         return _usage_error(str(exc))
     except ValueError as exc:
@@ -205,7 +199,7 @@ def _cmd_hl(args) -> int:
     elif args.format == "json":
         print(_dump_json({"r": args.r, "n": args.n, "result": str(value)}))
     else:
-        print(", ".join(_coeff_str(c) for c in value.q_coefficients()))
+        print(", ".join(str(c) for c in value.q_coefficients()))
     return 0
 
 
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help=f"schedule seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--report", default=None, help="write the JSON report here")
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -277,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed = _default_seed()
             except argparse.ArgumentTypeError as exc:
                 return _usage_error(str(exc))
-        if args.jobs < 1:
-            return _usage_error("--jobs must be at least 1")
     return args.handler(args)
 
 

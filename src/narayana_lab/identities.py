@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -337,13 +336,7 @@ def _touchard(p: Params):
 def _thm1(p: Params):
     r, n = p["r"], p["n"]
     point = Alphabet(constant=n, atoms=((-n, _Q),))
-    lhs = h_of(r, point).divexact(_OMQ)
-    rhs = PolyQQ.zero()
-    for m in range(r):
-        scalar = gen_binomial(r - 1, m) * gen_binomial(n + r - m - 1, r)
-        if scalar:
-            rhs = rhs + (-_Q) ** m * scalar
-    return lhs, rhs
+    return h_of(r, point).divexact(_OMQ), hall_littlewood_principal(r, n)
 
 
 @_register(
@@ -1180,7 +1173,6 @@ def run_suite(
     ids: Sequence[str] | None = None,
     max_n: int = 12,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Check every scheduled case of the requested identities (all by default)."""
     if max_n < 3:
@@ -1192,15 +1184,11 @@ def run_suite(
         for id in selected:
             if id not in REGISTRY:
                 raise UnknownIdentityError(f"unknown identity id {id!r}")
-    work: list[tuple[str, Params]] = []
+    results: list[IdentityCase] = []
     for id in sorted(set(selected)):
         rng = random.Random(f"{seed}:{id}")
         for params in REGISTRY[id].schedule(max_n, rng):
-            work.append((id, params))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda w: check_identity(*w), work))
-    else:
-        results = [check_identity(id, params) for id, params in work]
+            results.append(check_identity(id, params))
+    # Schedules need not list their cases in report order.
     results.sort(key=lambda c: (c.id, _param_sort_key(c.params)))
     return SuiteReport(SUITE_VERSION, seed, max_n, tuple(results))

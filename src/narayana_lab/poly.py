@@ -323,8 +323,3 @@ _ZERO = PolyQQ()
 _ONE = PolyQQ({(0, 0): 1})
 _Q = PolyQQ({(1, 0): 1})
 _Q2 = PolyQQ({(0, 1): 1})
-
-
-def poly_eval(p: PolyQQ, at_q: Coeff = 0, at_q2: Coeff = 0) -> Coeff:
-    """Exact value of p at a rational point (q, q2)."""
-    return p.eval(at_q, at_q2)

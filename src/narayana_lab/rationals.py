@@ -6,27 +6,12 @@ a checked exact integer division; no floating point is used anywhere.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from math import comb, factorial
 
 # Arbitrary-precision rational scalar. Python's Fraction already guarantees
 # the invariants we rely on: lowest terms, positive denominator, 0 == 0/1.
 BigRational = Fraction
-
-_factorials: list[int] = [1]
-_factorials_lock = threading.Lock()
-
-
-def factorial(k: int) -> int:
-    """k! from a grow-on-demand memo table (observationally pure)."""
-    if k < 0:
-        raise ValueError(f"factorial of negative integer {k}")
-    if k >= len(_factorials):
-        with _factorials_lock:
-            while len(_factorials) <= k:
-                _factorials.append(_factorials[-1] * len(_factorials))
-    return _factorials[k]
-
 
 def gen_binomial(a: int, k: int) -> int:
     """Binomial coefficient with an arbitrary integer top.
@@ -37,10 +22,10 @@ def gen_binomial(a: int, k: int) -> int:
     """
     if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    return exact_div(num, factorial(k))
+    if a >= 0:
+        return comb(a, k)
+    # Reflection: a(a-1)...(a-k+1) = (-1)^k (k-a-1)(k-a-2)...(-a).
+    return comb(k - a - 1, k) if k % 2 == 0 else -comb(k - a - 1, k)
 
 
 def frac_binomial(a: int | BigRational, k: int) -> BigRational:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 
 from .lambdaring import HSequence
 from .partitions import Partition
@@ -25,6 +26,8 @@ _Q = PolyQQ.var_q()
 _ONE = PolyQQ.one()
 
 _coeff_rows: list[list[int]] = [[1]]
+# Any thread calling narayana() may grow the shared row table; unguarded, two
+# racing appends would shift every later row.
 _coeff_lock = threading.Lock()
 
 
@@ -187,31 +190,16 @@ def master_formula(eta: int, zeta: int, r: int) -> PolyQQ:
     return acc
 
 
-_hseq_lock = threading.Lock()
-_narayana_hseq: HSequence | None = None
-_catalan_hseq: HSequence | None = None
-
-
+@cache
 def narayana_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Narayana polynomials."""
-    global _narayana_hseq
-    if _narayana_hseq is None:
-        with _hseq_lock:
-            if _narayana_hseq is None:
-                _narayana_hseq = HSequence(narayana, name="narayana")
-    return _narayana_hseq
+    return HSequence(narayana, name="narayana")
 
 
+@cache
 def catalan_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Catalan numbers."""
-    global _catalan_hseq
-    if _catalan_hseq is None:
-        with _hseq_lock:
-            if _catalan_hseq is None:
-                _catalan_hseq = HSequence(
-                    lambda n: PolyQQ.const(catalan(n)), name="catalan"
-                )
-    return _catalan_hseq
+    return HSequence(lambda n: PolyQQ.const(catalan(n)), name="catalan")
 
 
 def narayana_power_sum(r: int) -> PolyQQ:

@@ -181,19 +181,3 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries(order={self.order}, {self})"
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def series_div(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a / b
-
-
-def series_int_pow(a: TruncSeries, e: int) -> TruncSeries:
-    return a.int_pow(e)
-
-
-def series_reverse(f: TruncSeries) -> TruncSeries:
-    return f.reverse()

@@ -137,12 +137,6 @@ def test_verify_seed_env_default(capsys, monkeypatch):
     assert main(["verify", "--id", "catalan-ratio", "--max-n", "4"]) == 2
 
 
-def test_verify_jobs(capsys):
-    assert main(["verify", "--id", "thm7", "--max-n", "5", "--jobs", "4"]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--id", "thm7", "--max-n", "5", "--jobs", "0"]) == 2
-
-
 def test_usage_error_exit_codes():
     with pytest.raises(SystemExit) as info:
         main(["table", "narayana"])  # missing --max-n

@@ -141,12 +141,6 @@ def test_failure_entries_carry_both_sides():
     assert case.status == "fail"
 
 
-def test_jobs_threading_matches_serial():
-    serial = run_suite(ids=["lemma2", "thm7"], max_n=5, seed=3, jobs=1)
-    threaded = run_suite(ids=["lemma2", "thm7"], max_n=5, seed=3, jobs=4)
-    assert json.dumps(serial.to_document()) == json.dumps(threaded.to_document())
-
-
 def test_default_seed_recorded():
     report = run_suite(ids=["catalan-ratio"], max_n=3)
     assert report.seed == DEFAULT_SEED

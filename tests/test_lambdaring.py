@@ -144,10 +144,11 @@ def test_hall_littlewood_examples():
 
 
 def test_hall_littlewood_routes_agree_at_scale():
-    # internal consistency assertion would raise on any disagreement
+    # series route vs the closed form the library evaluates
     for r in range(1, 21):
         for n in range(1, 21):
-            hall_littlewood_principal(r, n)
+            point = Alphabet(n, ((-n, Q),))
+            assert h_of(r, point).divexact(OMQ) == hall_littlewood_principal(r, n), (r, n)
 
 
 def test_third_cauchy_hook_expansion():
