@@ -14,9 +14,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .dsl import DslError, eval_text
-from .identities import DEFAULT_SEED, UnknownIdentityError, registered_ids, run_suite
-from .lambdaring import hall_littlewood_principal, sfraction
+from .dsl import DslError, PrincipalHL, eval_text, evaluate
+from .identities import DEFAULT_SEED, registered_ids, run_suite
+from .lambdaring import sfraction
 from .poly import Coeff, PolyQQ
 from .sequences import (
     catalan,
@@ -30,7 +30,6 @@ from .sequences import (
 
 TABLE_MAX_N_CAP = 200
 CF_DEPTH_CAP = 20
-HL_CAP = 30
 SEED_ENV_VAR = "NARAYANA_LAB_SEED"
 
 _POLY_TABLES = {
@@ -157,8 +156,6 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         report = run_suite(ids=args.id or None, max_n=args.max_n, seed=args.seed)
-    except UnknownIdentityError as exc:
-        return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
     payload = _dump_json(report.to_document())
@@ -191,9 +188,10 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_hl(args) -> int:
-    if not 1 <= args.r <= HL_CAP or not 1 <= args.n <= HL_CAP:
-        return _usage_error(f"--r and --n must be within 1..{HL_CAP}")
-    value = hall_littlewood_principal(args.r, args.n)
+    try:
+        value = evaluate(PrincipalHL(args.r, args.n))
+    except ValueError as exc:
+        return _usage_error(str(exc))
     if args.format == "text":
         print(value)
     elif args.format == "json":

@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive, LL(1)):
 A bare nat in alpha contributes to the integer constant; q / q2 are rank-1
 atoms with values q / q2; Q / Q2 are rank-1 atoms with values 1-q / 1-q2
 (writing `1 - 1*q` instead would wrongly make q itself rank-1).
+
+evaluate refuses, with ValueError and before any work, an h/e/p index, an s/m
+weight |mu| or an r or n of P above QUERY_CAP: the exact answers grow so fast
+past it that one query could run for minutes.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .lambdaring import (
 )
 from .partitions import Partition
 from .poly import PolyQQ
+
+QUERY_CAP = 30
 
 ATOM_VALUES = {
     "q": VALUE_Q,
@@ -269,7 +275,12 @@ def alphabet_of(terms: tuple[AlphaTerm, ...]) -> Alphabet:
 def evaluate(expr: Expr) -> PolyQQ:
     """Evaluate a parsed query against the specialization engine."""
     if isinstance(expr, PrincipalHL):
+        if max(expr.r, expr.n) > QUERY_CAP:
+            raise ValueError(f"P{{r,n}} needs r and n at most {QUERY_CAP}")
         return hall_littlewood_principal(expr.r, expr.n)
+    size = expr.index if expr.partition is None else sum(expr.partition)
+    if size > QUERY_CAP:
+        raise ValueError(f"index or weight {size} exceeds the query cap {QUERY_CAP}")
     point = alphabet_of(expr.alpha)
     if expr.basis == "h":
         return h_of(expr.index, point)

@@ -60,6 +60,7 @@ DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
 _Q = VALUE_Q
 _Q2 = VALUE_Q2
 _OMQ = VALUE_ONE_MINUS_Q
+_QM1 = _Q - 1
 _ONE = PolyQQ.one()
 
 Params = dict[str, "int | Fraction"]
@@ -610,16 +611,11 @@ def _koshy(p: Params):
 )
 def _thm3(p: Params):
     n = p["n"]
-    omq_powers = [_ONE]
-    for _ in range(n - 1):
-        omq_powers.append(omq_powers[-1] * _OMQ)
-    rhs = omq_powers[n - 1]
+    rhs = _OMQ ** (n - 1)
     for k in range(1, n):
-        inner = PolyQQ.zero()
-        for m in range(k):
-            scalar = (-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k)
-            if scalar:
-                inner = inner + omq_powers[k - m - 1] * scalar
+        # The m-th term carries (1-q)^(k-m-1), so the list is read backwards.
+        terms = [(-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)]
+        inner = PolyQQ.from_q_coefficients(terms[::-1]).subst_q(_OMQ)
         rhs = rhs + narayana(n - k) * inner * _Q
     return narayana(n), rhs
 
@@ -707,18 +703,6 @@ def _jonah_alt(p: Params):
     return lhs, gen_binomial(n, r - 1)
 
 
-def _geometric_qm1_sum(k: int, n_shift: Callable[[int], int]) -> PolyQQ:
-    """sum over m of (q-1)^m * C(k-1,m) * C(n_shift(m), k) as a polynomial."""
-    acc = PolyQQ.zero()
-    power = _ONE
-    for m in range(k):
-        scalar = gen_binomial(k - 1, m) * gen_binomial(n_shift(m), k)
-        if scalar:
-            acc = acc + power * scalar
-        power = power * (_Q - 1)
-    return acc
-
-
 @_register(
     "thm4",
     "Narayana analogue of the Catalan convolution: weighted double-binomial "
@@ -730,15 +714,13 @@ def _thm4(p: Params):
     n, r = p["n"], p["r"]
     lhs = narayana(r)
     for k in range(1, r):
-        inner = _geometric_qm1_sum(k, lambda m, k=k: n - 2 * r + 2 * k - m)
+        inner = PolyQQ.from_q_coefficients(
+            [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
+        ).subst_q(_QM1)
         lhs = lhs + narayana(r - k) * inner * _Q
-    rhs = PolyQQ.zero()
-    power = _ONE
-    for m in range(r):
-        scalar = gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1)
-        if scalar:
-            rhs = rhs + power * scalar
-        power = power * (_Q - 1)
+    rhs = PolyQQ.from_q_coefficients(
+        [gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
+    ).subst_q(_QM1)
     return lhs, rhs
 
 
@@ -773,13 +755,12 @@ def _thm5(p: Params):
     n, r = p["n"], p["r"]
     lhs = PolyQQ.zero()
     for k in range(r + 1):
-        inner = PolyQQ.zero()
-        power = _ONE
-        for m in range(r - k + 1):
-            scalar = gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m)
-            if scalar:
-                inner = inner + power * scalar
-            power = power * _OMQ
+        inner = PolyQQ.from_q_coefficients(
+            [
+                gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m)
+                for m in range(r - k + 1)
+            ]
+        ).subst_q(_OMQ)
         lhs = lhs + large_narayana(k) * inner
     return lhs, PolyQQ.const(gen_binomial(n + 1, r))
 
@@ -862,25 +843,23 @@ def _thm6_spec_q1(p: Params):
         lhs = large_narayana(n) * (n + 1)
         rhs = PolyQQ.zero()
         for k in range(n + 1):
-            inner = PolyQQ.zero()
-            power = _ONE
-            for j in range(k + 1):
-                scalar = gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j)
-                if scalar:
-                    inner = inner + power * scalar
-                power = power * (_Q - 1)
+            inner = PolyQQ.from_q_coefficients(
+                [
+                    gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j)
+                    for j in range(k + 1)
+                ]
+            ).subst_q(_QM1)
             rhs = rhs + inner * catalan(n - k)
         return lhs, rhs
     lhs = PolyQQ.const((n + 1) * catalan(n))
     rhs = PolyQQ.zero()
     for k in range(n + 1):
-        inner = PolyQQ.zero()
-        power = _ONE
-        for i in range(k + 1):
-            scalar = gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i)
-            if scalar:
-                inner = inner + power * scalar
-            power = power * _OMQ
+        inner = PolyQQ.from_q_coefficients(
+            [
+                gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i)
+                for i in range(k + 1)
+            ]
+        ).subst_q(_OMQ)
         rhs = rhs + large_narayana(n - k) * inner
     return lhs, rhs
 
@@ -1042,18 +1021,12 @@ def _hl_jacobi(p: Params):
 )
 def _jacobi_binomial(p: Params):
     n = p["n"]
-    lhs = PolyQQ.zero()
-    for m in range(n):
-        scalar = gen_binomial(n - 1, m) * gen_binomial(2 * n - m, n)
-        if scalar:
-            lhs = lhs + (-_Q) ** m * scalar
-    rhs = PolyQQ.zero()
-    power = _ONE
-    for m in range(n):
-        scalar = gen_binomial(n + 1, m + 1) * gen_binomial(n - 1, m)
-        if scalar:
-            rhs = rhs + power * scalar
-        power = power * _OMQ
+    lhs = PolyQQ.from_q_coefficients(
+        [(-1) ** m * gen_binomial(n - 1, m) * gen_binomial(2 * n - m, n) for m in range(n)]
+    )
+    rhs = PolyQQ.from_q_coefficients(
+        [gen_binomial(n + 1, m + 1) * gen_binomial(n - 1, m) for m in range(n)]
+    ).subst_q(_OMQ)
     return lhs, rhs
 
 

@@ -260,19 +260,25 @@ class PolyQQ:
         return _norm(total)
 
     def subst_q(self, replacement: PolyQQ) -> PolyQQ:
-        """Substitute q -> replacement (the current q-exponents must be >= 0)."""
+        """Substitute q -> replacement (the current q-exponents must be >= 0).
+
+        This is the library's one route for sums c_0 + c_1*b + ... + c_m*b^m:
+        build from_q_coefficients([c_0, ..., c_m]) and substitute b.  Horner's
+        rule from the top q-degree down needs no table of powers of b.
+        """
         groups: dict[int, dict[ExpPair, Coeff]] = {}
         for (a, b), c in self._terms.items():
             if a < 0:
                 raise ValueError("substitution into a negative q-exponent")
             groups.setdefault(a, {})[(0, b)] = c
-        out = _ZERO
-        power = _ONE
-        prev = 0
-        for a in sorted(groups):
-            power = power * replacement ** (a - prev)
-            prev = a
-            out = out + _wrap(groups[a]) * power
+        if not groups:
+            return _ZERO
+        degrees = sorted(groups, reverse=True)
+        out = _wrap(groups[degrees[0]])
+        for prev, a in zip(degrees, degrees[1:]):
+            out = out * replacement ** (prev - a) + _wrap(groups[a])
+        if degrees[-1]:
+            out = out * replacement ** degrees[-1]
         return out
 
     # -- rendering ----------------------------------------------------------

@@ -111,11 +111,9 @@ def narayana_closed(n: int, variant: str) -> PolyQQ:
         ]
         return PolyQQ.from_q_coefficients(coeffs)
     if variant == "eqde":
-        acc = PolyQQ.zero()
-        qm1_pow = _ONE
-        for m in range(n + 1):
-            acc = acc + qm1_pow * (gen_binomial(n + 1, m) * gen_binomial(2 * n - m, n))
-            qm1_pow = qm1_pow * (_Q - 1)
+        acc = PolyQQ.from_q_coefficients(
+            [gen_binomial(n + 1, m) * gen_binomial(2 * n - m, n) for m in range(n + 1)]
+        ).subst_q(_Q - 1)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqtr":
         acc = PolyQQ.zero()
@@ -128,11 +126,9 @@ def narayana_closed(n: int, variant: str) -> PolyQQ:
             omq_pow = omq_pow * (_ONE - _Q)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqqu":
-        acc = PolyQQ.zero()
-        qm1_pow = _ONE
-        for m in range(n):
-            acc = acc + qm1_pow * (gen_binomial(n - 1, m) * gen_binomial(2 * n - m, n))
-            qm1_pow = qm1_pow * (_Q - 1)
+        acc = PolyQQ.from_q_coefficients(
+            [gen_binomial(n - 1, m) * gen_binomial(2 * n - m, n) for m in range(n)]
+        ).subst_q(_Q - 1)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqci":
         acc = PolyQQ.zero()

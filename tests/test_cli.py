@@ -163,3 +163,14 @@ def test_table_json_shape(capsys):
         {"n": 1, "value": 1},
         {"n": 2, "value": 2},
     ]
+
+
+def test_hl_and_eval_share_the_query_cap(capsys):
+    for r, n in ((31, 2), (2, 31), (400, 400)):
+        assert main(["hl", "--r", str(r), "--n", str(n)]) == 2
+        assert main(["eval", f"P{{{r},{n}}}"]) == 2
+    capsys.readouterr()
+    assert main(["hl", "--r", "30", "--n", "30"]) == 0
+    hl_out = capsys.readouterr().out
+    assert main(["eval", "P{30,30}"]) == 0
+    assert capsys.readouterr().out == hl_out

@@ -7,12 +7,13 @@ from narayana_lab.dsl import (
     BasisApp,
     DslError,
     PrincipalHL,
+    QUERY_CAP,
     alphabet_of,
     eval_text,
     parse,
     render,
 )
-from narayana_lab.lambdaring import Alphabet, VALUE_Q, h_of
+from narayana_lab.lambdaring import Alphabet, VALUE_Q, h_of, hall_littlewood_principal
 from narayana_lab.poly import PolyQQ
 
 from fuzzers import fuzz_dsl_roundtrip
@@ -111,3 +112,15 @@ def test_render_canonical():
     assert parse(render(expr)) == expr
     assert render(parse("P{3,4}")) == "P{3,4}"
     assert render(parse("s{2,1}[q+Q2]")) == "s{2,1}[q + Q2]"
+
+
+def test_query_cap_refuses_before_work():
+    # Refused by size alone: e5000[3 - q] would run for minutes, h31[q] would not.
+    refused = ("e5000[3 - q]", "h31[q]", "P{31,2}", "P{2,400}", "s{19,19}[q]", "m{31}[2]")
+    for text in refused:
+        with pytest.raises(ValueError, match=str(QUERY_CAP)):
+            eval_text(text)
+    # The bound itself is accepted.
+    assert eval_text("P{30,30}") == hall_littlewood_principal(30, 30)
+    assert eval_text("s{10,10,10}[q]") == 0
+    assert eval_text("p30[q]") == Q**30
