@@ -56,6 +56,8 @@ SUITE_VERSION = "1"
 DEFAULT_SEED = 1
 
 DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
+# The largest documented run; past it one identity alone can take minutes.
+VERIFY_MAX_N_CAP = 30
 
 _Q = VALUE_Q
 _Q2 = VALUE_Q2
@@ -1148,8 +1150,8 @@ def run_suite(
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
     """Check every scheduled case of the requested identities (all by default)."""
-    if max_n < 3:
-        raise ValueError("run_suite needs max_n >= 3")
+    if not 3 <= max_n <= VERIFY_MAX_N_CAP:
+        raise ValueError(f"run_suite needs 3 <= max_n <= {VERIFY_MAX_N_CAP}")
     if ids is None:
         selected = registered_ids()
     else:

@@ -3,11 +3,17 @@
 Coefficients are arbitrary-precision rationals (stored as int whenever the
 denominator is 1).  Exponents may be negative; ``is_integral`` decides whether
 a value is an honest polynomial with integer coefficients.
+
+Products and evaluation run on Python ints alone: each operand is scaled to
+integer numerators over the lcm of its denominators (1, with nothing copied,
+for an integer polynomial), the kernel accumulates ints, and a Fraction is
+built once per output value, at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 Coeff = int | Fraction
@@ -19,9 +25,30 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _norm(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # type() and not isinstance(): Fraction is a numbers.Rational ABC, so an
+    # isinstance test on an int goes through ABCMeta.__instancecheck__.
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _numerators(terms: dict[ExpPair, Coeff]) -> tuple[dict[ExpPair, int], int]:
+    """Integer numerators over the lcm d of the denominators, and d."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return {exps: c.numerator * (d // c.denominator) for exps, c in terms.items()}, d
+
+
+def _quotient(a: Coeff, b: Coeff) -> Coeff:
+    """Exact a / b for b != 0, as an int when it is one."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm(Fraction(a) / b)
 
 
 class PolyQQ:
@@ -141,7 +168,9 @@ class PolyQQ:
             return NotImplemented
         out = dict(self._terms)
         for exps, c in other._terms.items():
-            s = _norm(out.get(exps, 0) + c)
+            s = out.get(exps, 0) + c
+            if type(s) is not int:
+                s = _norm(s)
             if s:
                 out[exps] = s
             elif exps in out:
@@ -163,7 +192,9 @@ class PolyQQ:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: PolyQQ | Coeff) -> PolyQQ:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolyQQ):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _norm(other)
             if not other:
                 return _ZERO
@@ -172,21 +203,20 @@ class PolyQQ:
             return _wrap(
                 {exps: _norm(c * other) for exps, c in self._terms.items()}
             )
-        if not isinstance(other, PolyQQ):
-            return NotImplemented
-        a, b = self._terms, other._terms
+        a, da = _numerators(self._terms)
+        b, db = _numerators(other._terms)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[ExpPair, Coeff] = {}
+        acc: dict[ExpPair, int] = {}
+        get = acc.get
         for (x1, y1), c1 in a.items():
             for (x2, y2), c2 in b.items():
                 exps = (x1 + x2, y1 + y2)
-                s = _norm(out.get(exps, 0) + c1 * c2)
-                if s:
-                    out[exps] = s
-                elif exps in out:
-                    del out[exps]
-        return _wrap(out)
+                acc[exps] = get(exps, 0) + c1 * c2
+        d = da * db
+        if d == 1:
+            return _wrap({exps: c for exps, c in acc.items() if c})
+        return _wrap({exps: _norm(Fraction(c, d)) for exps, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -199,7 +229,7 @@ class PolyQQ:
                     "negative power of a non-monomial Laurent polynomial"
                 )
             ((a, b), c), = self._terms.items()
-            return PolyQQ.monomial(_norm(Fraction(1) / c) if c != 1 else 1, -a, -b) ** (-e)
+            return PolyQQ.monomial(_quotient(1, c), -a, -b) ** (-e)
         base, acc = self, None
         while True:
             if e & 1:
@@ -217,9 +247,8 @@ class PolyQQ:
             return _ZERO
         if divisor.is_monomial():
             ((a, b), c), = divisor._terms.items()
-            inv = _norm(Fraction(1, 1) / c)
             return _wrap(
-                {(x - a, y - b): _norm(cc * inv) for (x, y), cc in self._terms.items()}
+                {(x - a, y - b): _quotient(cc, c) for (x, y), cc in self._terms.items()}
             )
         # Leading-term elimination under lex order on (deg_q, deg_q2).  When the
         # division is exact every step emits one quotient term; a support bound
@@ -237,11 +266,13 @@ class PolyQQ:
                 raise ExactDivisionError("inexact polynomial division")
             lead_r = max(rem)
             exps = (lead_r[0] - lead_d[0], lead_r[1] - lead_d[1])
-            c = _norm(Fraction(rem[lead_r]) / cd)
+            c = _quotient(rem[lead_r], cd)
             quot[exps] = c
             for (x, y), cc in divisor._terms.items():
                 key = (x + exps[0], y + exps[1])
-                s = _norm(rem.get(key, 0) - c * cc)
+                s = rem.get(key, 0) - c * cc
+                if type(s) is not int:
+                    s = _norm(s)
                 if s:
                     rem[key] = s
                 elif key in rem:
@@ -251,13 +282,32 @@ class PolyQQ:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, at_q: Coeff = 0, at_q2: Coeff = 0) -> Coeff:
-        """Exact value at a rational point."""
-        total = Fraction(0)
-        for (a, b), c in self._terms.items():
-            if (a < 0 and at_q == 0) or (b < 0 and at_q2 == 0):
+        """Exact value at a rational point.
+
+        The sum runs in ints: with x = xn/xd and q-exponents in [lo, hi], each
+        x^a is xn^(a-lo) * xd^(hi-a) over the shared xd^(hi-lo), times the
+        Laurent shift x^lo; likewise in q2.
+        """
+        terms = self._terms
+        if not terms:
+            return 0
+        nums, den = _numerators(terms)
+        num = 0
+        xn, xd = at_q.numerator, at_q.denominator
+        yn, yd = at_q2.numerator, at_q2.denominator
+        a_lo, a_hi = min(a for a, _ in terms), max(a for a, _ in terms)
+        b_lo, b_hi = min(b for _, b in terms), max(b for _, b in terms)
+        for (a, b), c in nums.items():
+            num += c * xn ** (a - a_lo) * xd ** (a_hi - a) * yn ** (b - b_lo) * yd ** (b_hi - b)
+        den *= xd ** (a_hi - a_lo) * yd ** (b_hi - b_lo)
+        for n, d, lo in ((xn, xd, a_lo), (yn, yd, b_lo)):
+            if lo >= 0:
+                num, den = num * n**lo, den * d**lo
+            elif n == 0:
                 raise ZeroDivisionError("zero raised to a negative exponent")
-            total += Fraction(c) * Fraction(at_q) ** a * Fraction(at_q2) ** b
-        return _norm(total)
+            else:
+                num, den = num * d**-lo, den * n**-lo
+        return _norm(Fraction(num, den))
 
     def subst_q(self, replacement: PolyQQ) -> PolyQQ:
         """Substitute q -> replacement (the current q-exponents must be >= 0).

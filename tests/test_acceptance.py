@@ -3,8 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
+import hashlib
 import time
 
+from narayana_lab.cli import _dump_json
 from narayana_lab.identities import REGISTRY, run_suite
 from narayana_lab.lambdaring import hall_littlewood_principal, sfraction, strinc_oracle
 from narayana_lab.partitions import Partition, enumerate_partitions
@@ -125,6 +127,12 @@ def test_criterion_06_full_suite():
     for deep in ("thm3", "thm4", "thm5"):
         ok = ok and max(p["n"] for p in by_id[deep]) == 20
     ok = ok and max(p["r"] for p in by_id["thm4"]) == 20
+    # The stdout of `verify --max-n 12`, pinned across builds: two runs of one
+    # build cannot show a value that drifts (say 3/1 printed for 3).
+    stdout = _dump_json(report.to_document()) + "\n"
+    ok = ok and hashlib.sha256(stdout.encode()).hexdigest() == (
+        "640715d9a2f1ae624de0d59960d59ab070fda86f362cdce759c169a8e9b300bb"
+    )
     _criterion(
         6, ok, 300.0, time.perf_counter() - start,
         f"full registry, {len(report.results)} cases, counts={report.counts}",

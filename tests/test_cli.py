@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -174,3 +175,18 @@ def test_hl_and_eval_share_the_query_cap(capsys):
     hl_out = capsys.readouterr().out
     assert main(["eval", "P{30,30}"]) == 0
     assert capsys.readouterr().out == hl_out
+
+
+def test_huge_alphabet_and_max_n_fail_fast(capsys):
+    # Unbounded, the 999999 query takes seconds and the others run for minutes.
+    huge = "9" * 3000
+    for argv in (
+        ["eval", f"h30[{huge}*q + {huge}*q2 + Q + Q2]"],
+        ["eval", "e30[999999*q + 999999*q2 + 999999*Q + 999999*Q2 + 999999]"],
+        ["verify", "--id", "thm6", "--max-n", "60"],
+        ["verify", "--max-n", "31"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv[:2]
+        assert time.perf_counter() - start < 1.0, argv[:2]
+    assert "30" in capsys.readouterr().err

@@ -116,7 +116,10 @@ def test_render_canonical():
 
 def test_query_cap_refuses_before_work():
     # Refused by size alone: e5000[3 - q] would run for minutes, h31[q] would not.
-    refused = ("e5000[3 - q]", "h31[q]", "P{31,2}", "P{2,400}", "s{19,19}[q]", "m{31}[2]")
+    refused = (
+        "e5000[3 - q]", "h31[q]", "P{31,2}", "P{2,400}", "s{19,19}[q]", "m{31}[2]",
+        "h2[31*q]", "e2[q - 31]", "p2[2*31]", "m{2}[31*1]",
+    )
     for text in refused:
         with pytest.raises(ValueError, match=str(QUERY_CAP)):
             eval_text(text)
@@ -124,3 +127,4 @@ def test_query_cap_refuses_before_work():
     assert eval_text("P{30,30}") == hall_littlewood_principal(30, 30)
     assert eval_text("s{10,10,10}[q]") == 0
     assert eval_text("p30[q]") == Q**30
+    assert eval_text("h2[30*q + 30]") == h_of(2, Alphabet(constant=30, atoms=((30, VALUE_Q),)))

@@ -8,6 +8,7 @@ from narayana_lab.identities import (
     ScheduleError,
     SUITE_VERSION,
     UnknownIdentityError,
+    VERIFY_MAX_N_CAP,
     check_identity,
     registered_ids,
     run_suite,
@@ -71,6 +72,15 @@ def test_params_out_of_schedule():
 def test_max_n_floor():
     with pytest.raises(ValueError):
         run_suite(max_n=2)
+
+
+def test_max_n_cap_refuses_before_any_case(monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case ran past the cap")
+
+    monkeypatch.setattr("narayana_lab.identities.check_identity", no_case)
+    with pytest.raises(ValueError, match=str(VERIFY_MAX_N_CAP)):
+        run_suite(max_n=VERIFY_MAX_N_CAP + 1)
 
 
 def test_fast_subset_passes():

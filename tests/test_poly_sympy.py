@@ -1,11 +1,15 @@
-"""Differential test of PolyQQ.subst_q against sympy's substitution."""
+"""Differential tests of the PolyQQ kernels against sympy.
+
+subst_q against substitution; *, +, -, eval and divexact against sympy's
+expand, subs and cancel.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from narayana_lab.poly import PolyQQ
+from narayana_lab.poly import ExactDivisionError, PolyQQ
 
 sympy = pytest.importorskip("sympy")
 
@@ -69,3 +73,98 @@ def test_subst_q_zero_and_constant():
 def test_subst_q_negative_exponent_raises():
     with pytest.raises(ValueError):
         (Q**2 + PolyQQ.monomial(1, -1)).subst_q(ONE - Q)
+
+
+def assert_same(p: PolyQQ, expr) -> None:
+    assert sympy.expand(to_sympy(p) - expr) == 0, (p, expr)
+
+
+def assert_canonical(p: PolyQQ) -> None:
+    # Canonical storage: no zero terms, and an int wherever the denominator is 1.
+    for _, c in p.items():
+        assert c != 0
+        assert type(c) is int or c.denominator != 1, (p, c)
+
+
+def ring_cases():
+    rng = random.Random(23)
+    for _ in range(12):
+        yield random_poly(rng, -3, 4, q2_lo=-1), random_poly(rng, -2, 3, q2_lo=-1)
+    # Integer operands, where the kernel copies nothing.
+    yield Q**3 - Q * 3 + 2, (Q2 - Q) ** 2
+    # Middle coefficients cancel: (1 + q)(1 - q) = 1 - q^2.
+    yield Q + 1, ONE - Q
+
+
+def test_ring_operations_against_sympy():
+    for a, b in ring_cases():
+        sa, sb = to_sympy(a), to_sympy(b)
+        for got, want in ((a * b, sa * sb), (a + b, sa + sb), (a - b, sa - sb), (b - a, sb - sa)):
+            assert_same(got, want)
+            assert_canonical(got)
+        assert (a - a).is_zero and (a * PolyQQ.zero()).is_zero
+        for scalar in (3, Fraction(-2, 3), Fraction(4, 2)):
+            assert_same(a * scalar, sa * sympy.Rational(scalar.numerator, scalar.denominator))
+            assert_canonical(a * scalar)
+    assert (Q + 1) * (ONE - Q) == ONE - Q**2
+    assert ((Q + 1) * (ONE - Q)).coeff(1) == 0
+
+
+def test_divexact_against_sympy():
+    for a, b in ring_cases():
+        product = a * b
+        for divisor, quotient in ((b, a), (a, b)):
+            got = product.divexact(divisor)
+            assert got == quotient
+            assert_same(got, sympy.cancel(to_sympy(product) / to_sympy(divisor)))
+            assert_canonical(got)
+    assert (Q**4 * 6 - 9).divexact(PolyQQ.monomial(3, 2)) == PolyQQ({(2, 0): 2, (-2, 0): -3})
+    assert (Q * 3).divexact(PolyQQ.const(6)) == Q * Fraction(1, 2)
+    with pytest.raises(ExactDivisionError):
+        (Q**2 + 1).divexact(Q + 1)
+
+
+def test_cancelled_denominators_store_ints():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = (
+        ((Q + 1) * half * (Q * 2 + 2), {(0, 0): 1, (1, 0): 2, (2, 0): 1}),
+        ((Q * half + third) * 6, {(0, 0): 2, (1, 0): 3}),
+        ((Q * half + third) + (Q * half + third * 2), {(0, 0): 1, (1, 0): 1}),
+        ((Q2 * third - half) * (Q2 * 3 + Fraction(3, 2)), {(0, 2): 1, (0, 1): -1, (0, 0): Fraction(-3, 4)}),
+        ((Q * 4 + 2).divexact(PolyQQ.const(2)), {(1, 0): 2, (0, 0): 1}),
+    )
+    for got, terms in cases:
+        direct = PolyQQ(terms)
+        assert got == direct and hash(got) == hash(direct)
+        # == and hash cannot tell Fraction(1, 1) from 1; the stored types can.
+        assert_canonical(got)
+
+
+def test_eval_against_sympy():
+    rng = random.Random(31)
+    points = (0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+    for _ in range(10):
+        p = random_poly(rng, -3, 4, q2_lo=-2)
+        sp = to_sympy(p)
+        for x in points:
+            for y in points:
+                if (x == 0 and p.min_deg_q() < 0) or (y == 0 and p.min_deg_q2() < 0):
+                    with pytest.raises(ZeroDivisionError):
+                        p.eval(x, y)
+                    continue
+                got = p.eval(x, y)
+                assert got == sp.subs({q: sympy.Rational(x), q2: sympy.Rational(y)}), (p, x, y)
+                assert type(got) is int or got.denominator != 1
+
+
+def test_eval_laurent_and_zero():
+    p = PolyQQ({(-2, 0): 3, (1, 0): Fraction(1, 2), (0, -1): -1})
+    assert p.eval(Fraction(2, 3), 4) == Fraction(27, 4) + Fraction(1, 3) - Fraction(1, 4)
+    assert p.eval(-1, Fraction(-1, 2)) == 3 - Fraction(1, 2) + 2
+    with pytest.raises(ZeroDivisionError):
+        p.eval(0, 1)
+    with pytest.raises(ZeroDivisionError):
+        p.eval(1, 0)
+    assert PolyQQ.zero().eval(0, 0) == 0
+    assert (Q**2 * Q2 + 7).eval() == 7
+    assert type((Q * Fraction(1, 2)).eval(Fraction(4, 1))) is int
