@@ -87,7 +87,7 @@ def _cmd_eval(args) -> int:
         result = eval_text(args.expr)
     except DslError as exc:
         return _usage_error(f"cannot parse {args.expr!r}: {exc}")
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return _usage_error(f"cannot evaluate {args.expr!r}: {exc}")
     if args.format == "text":
         print(result)

@@ -794,21 +794,15 @@ def _thm5_schroeder(p: Params):
 
 def _transition_inner(n: int, k: int, base_i: PolyQQ | int, base_j: PolyQQ | int) -> PolyQQ:
     """sum over i+j <= k of base_i^i base_j^j C(n-k+i,i) C(n+1,j) C(2k-i-j-1,k-i-j)."""
-    acc = PolyQQ.zero()
-    pow_i = _ONE
-    for i in range(k + 1):
-        pow_ij = pow_i
-        for j in range(k + 1 - i):
-            scalar = (
-                gen_binomial(n - k + i, i)
-                * gen_binomial(n + 1, j)
-                * gen_binomial(2 * k - i - j - 1, k - i - j)
-            )
-            if scalar:
-                acc = acc + pow_ij * scalar
-            pow_ij = pow_ij * base_j
-        pow_i = pow_i * base_i
-    return acc
+    return PolyQQ(
+        {
+            (i, j): gen_binomial(n - k + i, i)
+            * gen_binomial(n + 1, j)
+            * gen_binomial(2 * k - i - j - 1, k - i - j)
+            for i in range(k + 1)
+            for j in range(k + 1 - i)
+        }
+    ).subst_q(base_i, q2=base_j)
 
 
 @_register(
@@ -1040,13 +1034,12 @@ def _jacobi_binomial(p: Params):
 )
 def _type_b_central(p: Params):
     r = p["r"]
-    rhs = PolyQQ.zero()
-    for m in range(r // 2 + 1):
-        b = gen_binomial(r, 2 * m)
-        if b:
-            rhs = rhs + _Q**m * (_Q + 1) ** (r - 2 * m) * (b * gen_binomial(2 * m, m))
-    if r == 0:
-        rhs = _ONE
+    rhs = PolyQQ(
+        {
+            (m, r - 2 * m): gen_binomial(r, 2 * m) * gen_binomial(2 * m, m)
+            for m in range(r // 2 + 1)
+        }
+    ).subst_q(_Q, q2=_Q + 1)
     return type_b_w(r), rhs
 
 

@@ -309,27 +309,30 @@ class PolyQQ:
                 num, den = num * d**-lo, den * n**-lo
         return _norm(Fraction(num, den))
 
-    def subst_q(self, replacement: PolyQQ) -> PolyQQ:
-        """Substitute q -> replacement (the current q-exponents must be >= 0).
+    def subst_q(self, replacement: PolyQQ | int, q2: PolyQQ | int | None = None) -> PolyQQ:
+        """Substitute q -> replacement and, if q2 is given, q2 -> q2, both at once.
 
-        This is the library's one route for sums c_0 + c_1*b + ... + c_m*b^m:
-        build from_q_coefficients([c_0, ..., c_m]) and substitute b.  Horner's
-        rule from the top q-degree down needs no table of powers of b.
+        The library's one route for power sums: sum c_ab*x^a*y^b is the
+        polynomial with coefficient c_ab at (a, b), with subst_q(x, q2=y); over
+        one base, from_q_coefficients(c).subst_q(x).  Without q2, q2 stays as
+        it is.  The exponents of a replaced variable must be >= 0.
         """
         groups: dict[int, dict[ExpPair, Coeff]] = {}
         for (a, b), c in self._terms.items():
-            if a < 0:
-                raise ValueError("substitution into a negative q-exponent")
+            if a < 0 or (b < 0 and q2 is not None):
+                raise ValueError("substitution into a negative exponent")
             groups.setdefault(a, {})[(0, b)] = c
         if not groups:
             return _ZERO
-        degrees = sorted(groups, reverse=True)
-        out = _wrap(groups[degrees[0]])
-        for prev, a in zip(degrees, degrees[1:]):
-            out = out * replacement ** (prev - a) + _wrap(groups[a])
-        if degrees[-1]:
-            out = out * replacement ** degrees[-1]
-        return out
+        if q2 is None:
+            return _horner({a: _wrap(g) for a, g in groups.items()}, replacement)
+        return _horner(
+            {
+                a: _horner({b: _wrap({(0, 0): c}) for (_, b), c in g.items()}, q2)
+                for a, g in groups.items()
+            },
+            replacement,
+        )
 
     # -- rendering ----------------------------------------------------------
 
@@ -358,6 +361,17 @@ class PolyQQ:
 
     def __repr__(self) -> str:
         return f"PolyQQ({self})"
+
+
+def _horner(groups: dict[int, PolyQQ], x: PolyQQ | int) -> PolyQQ:
+    """Sum of g_k * x^k (k >= 0, at least one g_k) by Horner's rule: no power table."""
+    degrees = sorted(groups, reverse=True)
+    out = groups[degrees[0]]
+    for prev, k in zip(degrees, degrees[1:]):
+        out = out * x ** (prev - k) + groups[k]
+    if degrees[-1]:
+        out = out * x ** degrees[-1]
+    return out
 
 
 def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:

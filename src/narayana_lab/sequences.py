@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 from .lambdaring import HSequence
 from .partitions import Partition
@@ -116,14 +117,13 @@ def narayana_closed(n: int, variant: str) -> PolyQQ:
         ).subst_q(_Q - 1)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqtr":
-        acc = PolyQQ.zero()
-        geom = PolyQQ.zero()  # 1 + (1-q) + ... + (1-q)^{m-1}
-        omq_pow = _ONE
-        for m in range(n + 1):
-            sign = -1 if m % 2 == 0 else 1
-            acc = acc + geom * (sign * gen_binomial(n + 1, m) * gen_binomial(2 * n - m, n))
-            geom = geom + omq_pow
-            omq_pow = omq_pow * (_ONE - _Q)
+        # sum_m s_m * sum_{i<m} (1-q)^i = sum_i (1-q)^i * sum_{m>i} s_m
+        signed = [
+            (-1) ** (m + 1) * gen_binomial(n + 1, m) * gen_binomial(2 * n - m, n)
+            for m in range(1, n + 1)
+        ]
+        tails = list(accumulate(reversed(signed)))[::-1]
+        acc = PolyQQ.from_q_coefficients(tails).subst_q(_ONE - _Q)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqqu":
         acc = PolyQQ.from_q_coefficients(
@@ -131,19 +131,16 @@ def narayana_closed(n: int, variant: str) -> PolyQQ:
         ).subst_q(_Q - 1)
         return _integral(acc * Fraction(1, n + 1))
     if variant == "eqci":
-        acc = PolyQQ.zero()
-        for m in range(n + 1):
-            b = gen_binomial(n + m, 2 * m)
-            if b:
-                acc = acc + _Q**m * (_ONE - _Q) ** (n - m) * (b * catalan(m))
-        return acc
+        return PolyQQ(
+            {(m, n - m): gen_binomial(n + m, 2 * m) * catalan(m) for m in range(n + 1)}
+        ).subst_q(_Q, q2=_ONE - _Q)
     if variant == "eqsi":
-        acc = PolyQQ.zero()
-        for m in range(n // 2 + 1):
-            b = gen_binomial(n - 1, 2 * m)
-            if b:
-                acc = acc + _Q**m * (_Q + 1) ** (n - 2 * m - 1) * (b * catalan(m))
-        return acc
+        return PolyQQ(
+            {
+                (m, n - 2 * m - 1): gen_binomial(n - 1, 2 * m) * catalan(m)
+                for m in range(n // 2 + 1)
+            }
+        ).subst_q(_Q, q2=_Q + 1)
     raise ValueError(f"unknown closed-form variant {variant!r}")
 
 
@@ -179,11 +176,7 @@ def master_formula(eta: int, zeta: int, r: int) -> PolyQQ:
             if j:
                 term = term * base_sign**j
             acc = acc + term
-    if not acc.is_integral:
-        raise ArithmeticError(
-            f"master formula produced a non-integral value for eta={eta}, zeta={zeta}, r={r}"
-        )
-    return acc
+    return _integral(acc)
 
 
 @cache
@@ -229,14 +222,12 @@ def jacobi11(n: int) -> PolyQQ:
     if n < 0:
         raise ValueError("jacobi11 index must be nonnegative")
     half = Fraction(1, 2)
-    lo = (_Q - 1) * half
-    hi = (_Q + 1) * half
-    acc = PolyQQ.zero()
-    for m in range(n + 1):
-        scalar = gen_binomial(n + 1, m) * gen_binomial(n + 1, n - m)
-        if scalar:
-            acc = acc + lo ** (n - m) * hi**m * scalar
-    return acc
+    return PolyQQ(
+        {
+            (n - m, m): gen_binomial(n + 1, m) * gen_binomial(n + 1, n - m)
+            for m in range(n + 1)
+        }
+    ).subst_q((_Q - 1) * half, q2=(_Q + 1) * half)
 
 
 def type_b_w(r: int) -> PolyQQ:

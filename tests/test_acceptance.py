@@ -7,7 +7,7 @@ import hashlib
 import time
 
 from narayana_lab.cli import _dump_json
-from narayana_lab.identities import REGISTRY, run_suite
+from narayana_lab.identities import REGISTRY, _param_json, run_suite
 from narayana_lab.lambdaring import hall_littlewood_principal, sfraction, strinc_oracle
 from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
@@ -132,6 +132,15 @@ def test_criterion_06_full_suite():
     stdout = _dump_json(report.to_document()) + "\n"
     ok = ok and hashlib.sha256(stdout.encode()).hexdigest() == (
         "640715d9a2f1ae624de0d59960d59ab070fda86f362cdce759c169a8e9b300bb"
+    )
+    # The report writes lhs/rhs only for failed cases, so a value that drifts
+    # on both sides of an identity needs its own digest.
+    values = _dump_json([
+        [c.id, {k: _param_json(v) for k, v in sorted(c.params.items())}, str(c.lhs), str(c.rhs)]
+        for c in report.results
+    ])
+    ok = ok and hashlib.sha256(values.encode()).hexdigest() == (
+        "7624804d2d90c61c04038b6974cd5287f43ecf731a7760e9b74c549113683044"
     )
     _criterion(
         6, ok, 300.0, time.perf_counter() - start,

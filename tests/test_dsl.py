@@ -128,3 +128,14 @@ def test_query_cap_refuses_before_work():
     assert eval_text("s{10,10,10}[q]") == 0
     assert eval_text("p30[q]") == Q**30
     assert eval_text("h2[30*q + 30]") == h_of(2, Alphabet(constant=30, atoms=((30, VALUE_Q),)))
+
+
+def test_query_cap_bounds_the_merged_alphabet():
+    # Each term is within the cap; their merged weight or constant is not.
+    block = "30*q + 30*q2 + 30*Q + 30*Q2 + 30"
+    for text in ("h2[30*q + 30*q]", "e2[20 + 20]", "h2[5*7]", f"e30[{' + '.join([block] * 10000)}]"):
+        with pytest.raises(ValueError, match=str(QUERY_CAP)):
+            eval_text(text)
+    # Terms that cancel merge to a weight within the cap.
+    assert eval_text("h2[40*q - 39*q + 30 - 31 + 1]") == h_of(2, Alphabet(atoms=((1, VALUE_Q),)))
+    assert eval_text("h2[0 - 30*q - 30]") == h_of(2, Alphabet(constant=-30, atoms=((-30, VALUE_Q),)))

@@ -1,7 +1,9 @@
 """Differential tests of the PolyQQ kernels against sympy.
 
-subst_q against substitution; *, +, -, eval and divexact against sympy's
-expand, subs and cancel.
+subst_q (with and without q2) against substitution; *, +, -, eval and
+divexact against sympy's expand, subs and cancel; jacobi11 against
+sympy.jacobi; det_fraction_free against Matrix.det; TruncSeries.reverse by
+composing in sympy.
 """
 
 import random
@@ -9,7 +11,10 @@ from fractions import Fraction
 
 import pytest
 
+from narayana_lab.lambdaring import det_fraction_free
 from narayana_lab.poly import ExactDivisionError, PolyQQ
+from narayana_lab.sequences import jacobi11
+from narayana_lab.series import TruncSeries
 
 sympy = pytest.importorskip("sympy")
 
@@ -168,3 +173,104 @@ def test_eval_laurent_and_zero():
     assert PolyQQ.zero().eval(0, 0) == 0
     assert (Q**2 * Q2 + 7).eval() == 7
     assert type((Q * Fraction(1, 2)).eval(Fraction(4, 1))) is int
+
+
+def sympy_value(x):
+    return to_sympy(x) if isinstance(x, PolyQQ) else sympy.Integer(x)
+
+
+def test_subst_q_two_variables_against_sympy():
+    rng = random.Random(41)
+    replacements = [
+        -1, 0, 2,  # int
+        ONE - Q, Q - 1, PolyQQ.monomial(3, -1) + Q,  # q only, one Laurent
+        Q2 - 1, Q * Q2 + Fraction(1, 2), PolyQQ.monomial(1, 0, -1) - Q,  # q2-bearing, one Laurent
+    ]
+    polys = [random_poly(rng, 0, 4) for _ in range(4)]
+    polys.append(PolyQQ({(0, 0): 3, (4, 0): -1, (0, 5): 2, (3, 2): Fraction(1, 3)}))
+    for p in polys:
+        for _ in range(4):
+            x, y = rng.choice(replacements), rng.choice(replacements)
+            expected = to_sympy(p).subs({q: sympy_value(x), q2: sympy_value(y)}, simultaneous=True)
+            got = p.subst_q(x, q2=y)
+            assert isinstance(got, PolyQQ)
+            assert_same(got, sympy.expand(expected))
+            assert_canonical(got)
+    # q -> q2 and q2 -> q at once is a swap, not a collapse.
+    assert (Q**2 * Q2 * 5 + Q).subst_q(Q2, q2=Q) == Q2**2 * Q * 5 + Q2
+    assert PolyQQ.zero().subst_q(2, q2=3) == PolyQQ.zero()
+    assert (Q * 2 + 1).subst_q(1) == 3
+
+
+def test_subst_q2_negative_exponent_raises():
+    laurent_q2 = Q + PolyQQ.monomial(1, 0, -1)
+    # Kept as it is without q2=, refused when q2 is replaced.
+    assert laurent_q2.subst_q(ONE - Q) == ONE - Q + PolyQQ.monomial(1, 0, -1)
+    with pytest.raises(ValueError):
+        laurent_q2.subst_q(ONE - Q, q2=Q2)
+
+
+def test_jacobi11_against_sympy():
+    for n in range(26):
+        assert_same(jacobi11(n), sympy.expand(sympy.jacobi(n, 1, 1, q)))
+
+
+def random_matrix(rng: random.Random, size: int) -> list[list[PolyQQ]]:
+    def entry():
+        if rng.random() < 0.3:
+            return PolyQQ.zero()
+        return PolyQQ({
+            (rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-3, 3)
+            for _ in range(rng.randint(1, 2))
+        })
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def assert_det_matches_sympy(matrix: list[list[PolyQQ]]) -> None:
+    want = sympy.Matrix([[to_sympy(e) for e in row] for row in matrix]).det(method="berkowitz")
+    assert_same(det_fraction_free(matrix), sympy.expand(want))
+
+
+def test_det_fraction_free_against_sympy():
+    rng = random.Random(53)
+    for size in (2, 3, 4, 5):
+        for _ in range(3):
+            matrix = random_matrix(rng, size)
+            assert_det_matches_sympy(matrix)
+            # Swapping two rows flips the sign.
+            assert det_fraction_free(matrix[1::-1] + matrix[2:]) == -det_fraction_free(matrix)
+    # Zero pivots at the first and at a later step need a row swap.
+    assert_det_matches_sympy([[PolyQQ.zero(), Q], [Q2 + 1, Q * 3]])
+    later = [[ONE, ONE, Q], [ONE, ONE, Q2], [Q, ONE - Q, ONE]]
+    assert_det_matches_sympy(later)
+    # Singular: a zero column, and a row that is a multiple of another.
+    zero_col = [[PolyQQ.zero(), Q, ONE], [PolyQQ.zero(), Q2, Q], [PolyQQ.zero(), ONE, Q2]]
+    assert det_fraction_free(zero_col).is_zero
+    rows = random_matrix(rng, 4)
+    rows[2] = [e * (Q - Q2) for e in rows[0]]
+    assert det_fraction_free(rows).is_zero
+    assert_det_matches_sympy(rows)
+
+
+def test_reverse_composes_to_identity_in_sympy():
+    rng = random.Random(67)
+    u = sympy.Symbol("u")
+    order = 6
+
+    def series_poly(coeffs):
+        expr = sum(to_sympy(c) * u**k for k, c in enumerate(coeffs))
+        return sympy.Poly(expr, u, q, q2, domain="QQ")
+
+    def truncate(p):
+        terms = {m: c for m, c in p.as_dict().items() if m[0] <= order}
+        return sympy.Poly.from_dict(terms, u, q, q2, domain="QQ")
+
+    for _ in range(4):
+        coeffs = [PolyQQ.zero(), ONE] + [random_poly(rng, 0, 2) for _ in range(order - 1)]
+        g = series_poly(TruncSeries(coeffs, order=order).reverse().coefficients())
+        # f(g(u)) by sympy arithmetic, truncated after u^order at each power.
+        composed, power = series_poly([]), series_poly([ONE])
+        for c in coeffs[1:]:
+            power = truncate(power * g)
+            composed += power * series_poly([c])
+        assert composed == series_poly([PolyQQ.zero(), ONE]), coeffs
