@@ -30,6 +30,7 @@ from .sequences import (
 
 TABLE_MAX_N_CAP = 200
 CF_DEPTH_CAP = 20
+ECHO_CAP = 60  # characters of a query quoted back in an eval error message
 SEED_ENV_VAR = "NARAYANA_LAB_SEED"
 
 _POLY_TABLES = {
@@ -82,13 +83,20 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _echo(expr: str) -> str:
+    """The query as error messages quote it: at most ECHO_CAP characters of it."""
+    if len(expr) <= ECHO_CAP:
+        return repr(expr)
+    return f"{expr[:ECHO_CAP]!r}... ({len(expr)} characters)"
+
+
 def _cmd_eval(args) -> int:
     try:
         result = eval_text(args.expr)
     except DslError as exc:
-        return _usage_error(f"cannot parse {args.expr!r}: {exc}")
+        return _usage_error(f"cannot parse {_echo(args.expr)}: {exc}")
     except (ValueError, ArithmeticError) as exc:
-        return _usage_error(f"cannot evaluate {args.expr!r}: {exc}")
+        return _usage_error(f"cannot evaluate {_echo(args.expr)}: {exc}")
     if args.format == "text":
         print(result)
     elif args.format == "json":

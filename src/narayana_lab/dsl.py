@@ -15,7 +15,10 @@ atoms with values q / q2; Q / Q2 are rank-1 atoms with values 1-q / 1-q2
 evaluate refuses, with ValueError and before any work, an h/e/p index, an s/m
 weight |mu|, an r or n of P, or the absolute value of the merged alphabet's
 constant or of any merged atom weight above QUERY_CAP: the exact answers grow
-so fast past it that one query could run for minutes.
+so fast past it that one query could run for minutes.  The lexer refuses, with
+a DslError at its offset, a number or index of more digits than QUERY_CAP has,
+before converting it: int() itself refuses past 4300 digits with an error that
+is not a DslError, and spends quadratic time below that.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .partitions import Partition
 from .poly import PolyQQ
 
 QUERY_CAP = 30
+_DIGITS_CAP = len(str(QUERY_CAP))
 
 ATOM_VALUES = {
     "q": VALUE_Q,
@@ -92,6 +96,15 @@ class _Token:
     pos: int
 
 
+def _check_digits(start: int, end: int) -> None:
+    if end - start > _DIGITS_CAP:
+        raise DslError(
+            start,
+            (f"at most {_DIGITS_CAP} digits (the query cap is {QUERY_CAP})",),
+            f"{end - start} digits",
+        )
+
+
 def _lex(text: str) -> list[_Token]:
     out: list[_Token] = []
     i = 0
@@ -108,6 +121,7 @@ def _lex(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            _check_digits(i, j)
             out.append(_Token("nat", text[i:j], i))
             i = j
             continue
@@ -115,6 +129,7 @@ def _lex(text: str) -> list[_Token]:
             j = i + 1
             while j < len(text) and text[j].isdigit():
                 j += 1
+            _check_digits(i + 1, j)
             out.append(_Token("word", text[i:j], i))
             i = j
             continue

@@ -2,9 +2,11 @@
 
 A specialization point (:class:`Alphabet`) is an integer constant plus
 integer-weighted rank-1 atoms whose values are exact polynomials.  Complete
-functions come from the product form of their generating series; elementary
-functions from its inverse at -u; power sums directly from the atom values;
-Schur functions from a fraction-free Jacobi-Trudi determinant.
+functions come from the integer coefficient table of the product form
+(1-u)^-c * prod (1-x*u)^-w of their generating series, substituted once;
+elementary functions from the lambda-ring negation e_n[a] = (-1)^n h_n[-a];
+power sums directly from the atom values; Schur functions from a
+fraction-free Jacobi-Trudi determinant.
 """
 
 from __future__ import annotations
@@ -74,7 +76,11 @@ class Alphabet:
         return Alphabet(self.constant + other.constant, self.atoms + other.atoms)
 
     def scaled(self, m: int) -> Alphabet:
-        return Alphabet(m * self.constant, tuple((m * c, v) for c, v in self.atoms))
+        if not m:
+            return Alphabet()
+        # A nonzero factor keeps every weight nonzero and every atom value, so
+        # the merged, sorted tuple stays canonical.
+        return _canonical(m * self.constant, tuple((m * c, v) for c, v in self.atoms))
 
     def __neg__(self) -> Alphabet:
         return self.scaled(-1)
@@ -95,39 +101,70 @@ class Alphabet:
         return "Alphabet[" + (" + ".join(parts) if parts else "0") + "]"
 
 
+def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet:
+    """An Alphabet over atoms that are already merged, nonzero and sorted."""
+    a = Alphabet.__new__(Alphabet)
+    a.constant = constant
+    a.atoms = atoms
+    return a
+
+
 # Bounded above the largest per-process working set of the benchmark
-# workloads (1874 entries, perfbench/BASELINE.md), so it evicts nothing there.
+# workloads (2451 values for one query-distinct batch), so it evicts nothing there.
 @lru_cache(maxsize=4096)
-def h_series(a: Alphabet, order: int) -> TruncSeries:
-    """Generating series of the complete functions of a, truncated at the order."""
-    # (1-u)^{-c} expands with binomial coefficients of arbitrary integer top.
-    out = TruncSeries(
-        [PolyQQ.const(gen_binomial(a.constant + k - 1, k)) for k in range(order + 1)],
-        order=order,
-    )
-    for coeff, value in a.atoms:
-        factor = TruncSeries([PolyQQ.one(), -value], order=order)
-        out = out * factor.int_pow(-coeff)
-    return out
-
-
 def h_of(n: int, a: Alphabet) -> PolyQQ:
-    """Complete function h_n at the point a."""
+    """Complete function h_n at the point a.
+
+    For a = c + w1*x1 + w2*x2, h_n[a] is the sum over i + j <= n of
+    C(c+n-i-j-1, n-i-j) * C(w1+i-1, i) * C(w2+j-1, j) * x1^i * x2^j: the
+    integers sit at exponents (i, j) and one subst_q puts in x1 and x2.  More
+    atoms split into a head (c and the first two atoms) and a tail, and
+    h_n[head + tail] = sum_k h_k[head] * h_(n-k)[tail].
+    """
     if n < 0:
         raise ValueError("h_of needs n >= 0")
-    return h_series(a, n).coefficient(n)
+    c, atoms = a.constant, a.atoms
+    if len(atoms) > 2:
+        head, tail = _canonical(c, atoms[:2]), _canonical(0, atoms[2:])
+        out = PolyQQ.zero()
+        for k in range(n + 1):
+            out = out + h_of(k, head) * h_of(n - k, tail)
+        return out
+    # gen_binomial takes any integer top, so negative constants and weights
+    # need no special case.
+    if not atoms:
+        return PolyQQ.const(gen_binomial(c + n - 1, n))
+    hc = [gen_binomial(c + m - 1, m) for m in range(n + 1)]
+    w1, x1 = atoms[0]
+    r1 = [gen_binomial(w1 + i - 1, i) for i in range(n + 1)]
+    if len(atoms) == 1:
+        return PolyQQ.from_q_coefficients([hc[n - i] * r1[i] for i in range(n + 1)]).subst_q(x1)
+    w2, x2 = atoms[1]
+    r2 = [gen_binomial(w2 + j - 1, j) for j in range(n + 1)]
+    table = {
+        (i, j): hc[n - i - j] * r1[i] * r2[j]
+        for i in range(n + 1)
+        for j in range(n + 1 - i)
+    }
+    return PolyQQ(table).subst_q(x1, q2=x2)
 
 
 def e_of(n: int, a: Alphabet) -> PolyQQ:
-    """Elementary function e_n at the point a, via inverting the h-series at -u."""
+    """Elementary function e_n at the point a, as (-1)^n h_n[-a].
+
+    This is the lambda-ring negation H(u) E(-u) = 1 (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2, (2.6)).
+    """
     if n < 0:
         raise ValueError("e_of needs n >= 0")
-    hs = h_series(a, n)
-    flipped = TruncSeries(
-        [c if k % 2 == 0 else -c for k, c in enumerate(hs.coefficients())],
-        order=n,
-    )
-    return flipped.inverse().coefficient(n)
+    h = h_of(n, -a)
+    return -h if n % 2 else h
+
+
+@lru_cache(maxsize=4096)
+def h_series(a: Alphabet, order: int) -> TruncSeries:
+    """Generating series of the complete functions of a, truncated at the order."""
+    return TruncSeries([h_of(k, a) for k in range(order + 1)], order=order)
 
 
 def p_of(n: int, a: Alphabet) -> PolyQQ:

@@ -190,3 +190,13 @@ def test_huge_alphabet_and_max_n_fail_fast(capsys):
         assert main(argv) == 2, argv[:2]
         assert time.perf_counter() - start < 1.0, argv[:2]
     assert "30" in capsys.readouterr().err
+
+
+def test_eval_error_echo_is_bounded(capsys):
+    for query in ("h2[" + "9" * 5000 + "]", "h2[" + " + ".join(["q"] * 5000) + "]"):
+        assert main(["eval", query]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 300, len(err)
+        assert f"... ({len(query)} characters)" in err
+    assert main(["eval", "h2[w]"]) == 2
+    assert "'h2[w]'" in capsys.readouterr().err

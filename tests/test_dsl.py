@@ -139,3 +139,20 @@ def test_query_cap_bounds_the_merged_alphabet():
     # Terms that cancel merge to a weight within the cap.
     assert eval_text("h2[40*q - 39*q + 30 - 31 + 1]") == h_of(2, Alphabet(atoms=((1, VALUE_Q),)))
     assert eval_text("h2[0 - 30*q - 30]") == h_of(2, Alphabet(constant=-30, atoms=((-30, VALUE_Q),)))
+
+
+def test_long_literals_are_refused_before_conversion():
+    # Past 4300 digits int() raises an error that is not a DslError.
+    nines = "9" * 5000
+    for text, offset in (
+        (f"h2[{nines}]", 3),
+        (f"h2[{nines}*q]", 3),
+        (f"h2[q - 2*{nines}]", 9),
+        (f"h{nines}[q]", 1),
+        (f"P{{3,{nines}}}", 4),
+        ("h2[007]", 3),
+    ):
+        with pytest.raises(DslError, match=str(QUERY_CAP)) as info:
+            parse(text)
+        assert info.value.position == offset, text
+    assert parse("h30[99*q - 98*q]").alpha[0].mult == 99
