@@ -87,6 +87,9 @@ class PrincipalHL:
 Expr = BasisApp | PrincipalHL
 
 _SYMBOLS = "[]{},+-*"
+# ASCII only: str.isdigit() also holds for '²', which int() refuses, and for
+# '٣', which int() reads as 3.
+_DIGITS = "0123456789"
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,9 @@ def _lex(text: str) -> list[_Token]:
             out.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             _check_digits(i, j)
             out.append(_Token("nat", text[i:j], i))
@@ -127,7 +130,7 @@ def _lex(text: str) -> list[_Token]:
             continue
         if ch.isalpha():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             _check_digits(i + 1, j)
             out.append(_Token("word", text[i:j], i))

@@ -296,11 +296,12 @@ class HSequence:
     def p(self, n: int) -> PolyQQ:
         if n < 1:
             raise ValueError("p index must be positive")
-        if n not in self._p_cache:
-            acc = self.h(n) * n
-            for r in range(1, n):
-                acc = acc - self.h(r) * self.p(n - r)
-            self._p_cache[n] = acc
+        # The table holds p_1..p_m; fill it upward, without recursion.
+        for m in range(len(self._p_cache) + 1, n + 1):
+            acc = self.h(m) * m
+            for r in range(1, m):
+                acc = acc - self.h(r) * self._p_cache[m - r]
+            self._p_cache[m] = acc
         return self._p_cache[n]
 
     def schur(self, mu: Partition) -> PolyQQ:

@@ -1,16 +1,18 @@
 """Narayana polynomials and their relatives, by several independent routes.
 
-The reference route is the defining recurrence
-C_0 = 1,  C_n = (1-q) C_{n-1} + q * sum C_i C_{n-1-i};
-the closed forms and the generating-function machinery are checked against it
-by the identity suite.
+The library route is the binomial closed form
+C_n(q) = sum_k N(n,k) q^(k-1),  N(n,k) = C(n,k-1) C(n,k) / n;
+the defining recurrence
+C_0 = 1,  C_n = (1-q) C_{n-1} + q * sum C_i C_{n-1-i}
+is checked against it by the identity `gf-quadratic` and by the tests.
+`narayana_closed` gives the paper's other closed forms, which the tests check
+against `narayana`.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 
 from .lambdaring import HSequence
@@ -18,7 +20,7 @@ from .partitions import Partition
 from .poly import PolyQQ
 from .rationals import exact_div, gen_binomial
 
-CLOSED_FORM_VARIANTS = ("binomial-N", "eqde", "eqtr", "eqqu", "eqci", "eqsi")
+CLOSED_FORM_VARIANTS = ("eqde", "eqtr", "eqqu", "eqci", "eqsi")
 
 NARAYANA_SCHUR_LENGTH_CAP = 14
 NARAYANA_SCHUR_INDEX_CAP = 20
@@ -26,47 +28,21 @@ NARAYANA_SCHUR_INDEX_CAP = 20
 _Q = PolyQQ.var_q()
 _ONE = PolyQQ.one()
 
-_coeff_rows: list[list[int]] = [[1]]
-# Any thread calling narayana() may grow the shared row table; unguarded, two
-# racing appends would shift every later row.
-_coeff_lock = threading.Lock()
 
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _narayana_coeffs(n: int) -> list[int]:
-    """Coefficient row of C_n(q), ascending in q, from the defining recurrence."""
-    if n >= len(_coeff_rows):
-        with _coeff_lock:
-            while len(_coeff_rows) <= n:
-                m = len(_coeff_rows)
-                prev = _coeff_rows[m - 1]
-                # (1-q)*C_{m-1}
-                row = prev + [0]
-                for i, x in enumerate(prev):
-                    row[i + 1] -= x
-                # + q * sum_i C_i C_{m-1-i}
-                for i in range(m):
-                    for j, y in enumerate(_convolve(_coeff_rows[i], _coeff_rows[m - 1 - i])):
-                        row[j + 1] += y
-                while len(row) > 1 and row[-1] == 0:
-                    row.pop()
-                _coeff_rows.append(row)
-    return _coeff_rows[n]
-
-
+@lru_cache(maxsize=256)
 def narayana(n: int) -> PolyQQ:
-    """The n-th Narayana polynomial C_n(q)."""
+    """The n-th Narayana polynomial C_n(q), from the Narayana numbers N(n,k).
+
+    Memoized for the 256 most recent n, above the 201 rows of the CLI's
+    largest table.
+    """
     if n < 0:
         raise ValueError("narayana index must be nonnegative")
-    return PolyQQ.from_q_coefficients(_narayana_coeffs(n))
+    if n == 0:
+        return _ONE
+    return PolyQQ.from_q_coefficients(
+        [exact_div(gen_binomial(n, k - 1) * gen_binomial(n, k), n) for k in range(1, n + 1)]
+    )
 
 
 def large_narayana(n: int) -> PolyQQ:
@@ -105,12 +81,6 @@ def narayana_closed(n: int, variant: str) -> PolyQQ:
     """
     if n < 1:
         raise ValueError("closed forms need n >= 1")
-    if variant == "binomial-N":
-        coeffs = [
-            exact_div(gen_binomial(n, k - 1) * gen_binomial(n, k), n)
-            for k in range(1, n + 1)
-        ]
-        return PolyQQ.from_q_coefficients(coeffs)
     if variant == "eqde":
         acc = PolyQQ.from_q_coefficients(
             [gen_binomial(n + 1, m) * gen_binomial(2 * n - m, n) for m in range(n + 1)]

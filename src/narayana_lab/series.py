@@ -44,10 +44,6 @@ class TruncSeries:
         self._c = c
 
     @classmethod
-    def zero(cls, order: int) -> TruncSeries:
-        return cls([], order=order)
-
-    @classmethod
     def one(cls, order: int) -> TruncSeries:
         return cls([PolyQQ.one()], order=order)
 
@@ -90,10 +86,6 @@ class TruncSeries:
 
     def __neg__(self) -> TruncSeries:
         return TruncSeries([-c for c in self._c], order=self.order)
-
-    def scaled(self, factor: PolyQQ | Coeff) -> TruncSeries:
-        factor = _as_poly(factor)
-        return TruncSeries([c * factor for c in self._c], order=self.order)
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         n = min(self.order, other.order)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -58,6 +59,19 @@ def test_table_rows(capsys):
 def test_table_csv_coefficients(capsys):
     assert main(["table", "narayana", "--max-n", "4", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[4] == "4, 1, 6, 6, 1"
+
+
+def test_table_at_cap_pinned(capsys):
+    # Rows 0..200 of each table at the cap, pinned by the SHA-256 of stdout.
+    digests = {
+        "narayana": "1173290fbe94e8b31975d61ed61522b4c45dbef15745eacd04be618eafc7e2e3",
+        "catalan": "5e985898bbb053f5db3674c4e5402813c21aebdc4d4cdd0a9c146c61e1da0ed9",
+        "large-narayana": "0cea2fae91dbd029fe1c273317eae61b1ae5658b33b2f1a60c20ccf90a9a69ba",
+    }
+    for name, digest in digests.items():
+        assert main(["table", name, "--max-n", "200", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_table_at_q(capsys):

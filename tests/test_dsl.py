@@ -65,6 +65,9 @@ def test_negative_corpus_positions():
         "h2[w]": 3,
         "h2(3)": 2,
         "h2[3!]": 4,
+        "h2[²]": 3,
+        "h²[q]": 1,
+        "h2[٣]": 3,
     }
     for text, offset in corpus.items():
         with pytest.raises(DslError) as info:

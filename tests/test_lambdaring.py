@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -194,6 +195,22 @@ def test_hsequence_validates_h0():
     bad = HSequence(lambda n: PolyQQ.const(2))
     with pytest.raises(ValueError):
         bad.h(0)
+
+
+def test_hsequence_power_sums_past_the_recursion_limit():
+    # h_n = 0 for n >= 1: every Newton product is of zero polynomials and
+    # p_n = 0 throughout, so only the depth of the table is exercised. The
+    # limit is lowered so that the O(n^2) products stay cheap; a table filled
+    # by recursion would need about n frames.
+    trivial = HSequence(lambda n: PolyQQ.one() if n == 0 else PolyQQ.zero())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert trivial.p(400).is_zero
+    finally:
+        sys.setrecursionlimit(limit)
+    ones = HSequence(lambda n: PolyQQ.one())
+    assert [ones.p(m) for m in (5, 1, 3)] == [PolyQQ.one()] * 3
 
 
 def test_alphabet_canonicalization():

