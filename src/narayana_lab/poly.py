@@ -4,16 +4,17 @@ Coefficients are arbitrary-precision rationals (stored as int whenever the
 denominator is 1).  Exponents may be negative; ``is_integral`` decides whether
 a value is an honest polynomial with integer coefficients.
 
-Products and evaluation run on Python ints alone: each operand is scaled to
-integer numerators over the lcm of its denominators (1, with nothing copied,
-for an integer polynomial), the kernel accumulates ints, and a Fraction is
-built once per output value, at the boundary.
+Products, evaluation and substitution run on Python ints alone: each operand
+is scaled to integer numerators over the lcm of its denominators (1, with
+nothing copied, for an integer polynomial), the kernel accumulates ints, and a
+Fraction is built once per output value, at the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 from typing import Iterator, Mapping
 
 Coeff = int | Fraction
@@ -159,7 +160,14 @@ class PolyQQ:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            if not terms:
+                self._hash = hash(0)
+            elif len(terms) == 1 and (0, 0) in terms:
+                # A constant equals its value, so it hashes as its value.
+                self._hash = hash(terms[(0, 0)])
+            else:
+                self._hash = hash(frozenset(terms.items()))
         return self._hash
 
     def __add__(self, other: PolyQQ | Coeff) -> PolyQQ:
@@ -309,30 +317,89 @@ class PolyQQ:
                 num, den = num * d**-lo, den * n**-lo
         return _norm(Fraction(num, den))
 
-    def subst_q(self, replacement: PolyQQ | int, q2: PolyQQ | int | None = None) -> PolyQQ:
+    def subst_q(
+        self, replacement: PolyQQ | Coeff, q2: PolyQQ | Coeff | None = None
+    ) -> PolyQQ:
         """Substitute q -> replacement and, if q2 is given, q2 -> q2, both at once.
 
         The library's one route for power sums: sum c_ab*x^a*y^b is the
         polynomial with coefficient c_ab at (a, b), with subst_q(x, q2=y); over
         one base, from_q_coefficients(c).subst_q(x).  Without q2, q2 stays as
         it is.  The exponents of a replaced variable must be >= 0.
+
+        The kernel runs on dense integer rows over one denominator.  self, x
+        and y are scaled once to integer numerators (x = xn/dx, y = yn/dy).
+        Every value is packed into one Laurent row in t by the ring map
+        q -> t, q2 -> t^S, or q -> t^S, q2 -> t (Kronecker substitution), with
+        S wider than the window that the result's exponents of the t-variable
+        lie in, so that the result unpacks exactly.  Horner's rule in xn then
+        sums c_ab*dy^(B-b)*yn^b*dx^(K-a), one convolution per step, with yn^b
+        from one table of powers; one PolyQQ is built at the end, over
+        d*dy^B*dx^K.
         """
-        groups: dict[int, dict[ExpPair, Coeff]] = {}
-        for (a, b), c in self._terms.items():
-            if a < 0 or (b < 0 and q2 is not None):
-                raise ValueError("substitution into a negative exponent")
-            groups.setdefault(a, {})[(0, b)] = c
-        if not groups:
+        terms = self._terms
+        if not terms:
             return _ZERO
+        nums, d = _numerators(terms)
+        a_exps = [a for a, _ in nums]
+        b_exps = [b for _, b in nums]
+        if min(a_exps) < 0 or (q2 is not None and min(b_exps) < 0):
+            raise ValueError("substitution into a negative exponent")
+        xn, dx = _numerators(_as_poly(replacement)._terms)
+        a_top = max(a_exps)
         if q2 is None:
-            return _horner({a: _wrap(g) for a, g in groups.items()}, replacement)
-        return _horner(
-            {
-                a: _horner({b: _wrap({(0, 0): c}) for (_, b), c in g.items()}, q2)
-                for a, g in groups.items()
-            },
-            replacement,
-        )
+            windows = ((0, 0), (min(b_exps), max(b_exps)))
+        else:
+            yn, dy = _numerators(_as_poly(q2)._terms)
+            b_top = max(b_exps)
+            windows = (_window(yn, 0, b_top), _window(yn, 1, b_top))
+        # t runs along the variable that the sums over b spread in (q on a
+        # tie), so that the powers of y and the groups are dense rows.
+        fast = int(windows[1][1] - windows[1][0] > windows[0][1] - windows[0][0])
+        x_lo, x_hi = _window(xn, fast, a_top)
+        lo = x_lo + windows[fast][0]
+        stride = x_hi + windows[fast][1] - lo + 1
+        w_q, w_q2 = (1, stride) if fast == 0 else (stride, 1)
+        if q2 is None:
+            def power(b: int) -> _Row:
+                return b * w_q2, [1]
+        else:
+            y_row = _dense({a * w_q + b * w_q2: c for (a, b), c in yn.items()})
+            powers = [(0, [1])]
+            for _ in range(b_top):
+                powers.append(_mul(powers[-1], y_row))
+            power = powers.__getitem__
+            d *= dy**b_top
+        by_a: dict[int, list[tuple[int, int]]] = {}
+        for (a, b), c in nums.items():
+            if q2 is not None:
+                c *= dy ** (b_top - b)
+            by_a.setdefault(a, []).append((b, c))
+        x_row = _dense({a * w_q + b * w_q2: c for (a, b), c in xn.items()})
+        out: _Row | None = None
+        scale = 1
+        for k in range(a_top, -1, -1):
+            if out is not None:
+                out = _mul(out, x_row)
+                scale *= dx
+            for b, c in by_a.get(k, ()):
+                out = _add(out, power(b), c * scale)
+        d *= scale
+        start, row = out
+        unpacked: dict[ExpPair, Coeff] = {}
+        # One slice of the row per exponent of the other variable.
+        first = (start - lo) // stride
+        last = (start + len(row) - 1 - lo) // stride
+        for slow in range(first, last + 1):
+            i0 = max(lo + slow * stride - start, 0)
+            i1 = min(lo + (slow + 1) * stride - start, len(row))
+            for f, c in enumerate(row[i0:i1], start + i0 - slow * stride):
+                if c:
+                    if d != 1:
+                        whole, r = divmod(c, d)
+                        c = Fraction(c, d) if r else whole
+                    unpacked[(f, slow) if fast == 0 else (slow, f)] = c
+        return _wrap(unpacked)
 
     # -- rendering ----------------------------------------------------------
 
@@ -363,21 +430,80 @@ class PolyQQ:
         return f"PolyQQ({self})"
 
 
-def _horner(groups: dict[int, PolyQQ], x: PolyQQ | int) -> PolyQQ:
-    """Sum of g_k * x^k (k >= 0, at least one g_k) by Horner's rule: no power table."""
-    degrees = sorted(groups, reverse=True)
-    out = groups[degrees[0]]
-    for prev, k in zip(degrees, degrees[1:]):
-        out = out * x ** (prev - k) + groups[k]
-    if degrees[-1]:
-        out = out * x ** degrees[-1]
-    return out
+# A value of the substitution kernel: a Laurent polynomial in one variable t,
+# as its lowest exponent and the dense list of int coefficients from there up.
+_Row = tuple[int, list[int]]
+
+
+def _window(terms: dict[ExpPair, int], i: int, n: int) -> tuple[int, int]:
+    """Bounds on exponent i over every product of at most n factors of terms."""
+    exps = [e[i] for e in terms] or [0]
+    return n * min(0, min(exps)), n * max(0, max(exps))
+
+
+def _dense(terms: dict[int, int]) -> _Row:
+    if not terms:
+        return 0, []
+    start = min(terms)
+    row = [0] * (max(terms) - start + 1)
+    for p, c in terms.items():
+        row[p - start] = c
+    return start, row
+
+
+def _mul(u: _Row, v: _Row) -> _Row:
+    """The product of two rows: a convolution, looping over the shorter one."""
+    (su, ru), (sv, rv) = u, v
+    if len(ru) < len(rv):
+        ru, rv = rv, ru
+    if not rv:
+        return 0, []
+    n = len(ru)
+    out = [rv[0] * t for t in ru] + [0] * (len(rv) - 1)
+    for j in range(1, len(rv)):
+        c = rv[j]
+        if c == 1:
+            out[j:j + n] = map(add, out[j:j + n], ru)
+        elif c == -1:
+            out[j:j + n] = map(sub, out[j:j + n], ru)
+        elif c:
+            out[j:j + n] = [s + c * t for s, t in zip(out[j:j + n], ru)]
+    return su + sv, out
+
+
+def _add(u: _Row | None, v: _Row, c: int) -> _Row:
+    """u + c*v, with None for a zero u.
+
+    u's list is updated in place when v fits inside it: every u the kernel
+    passes is a list it built itself, never x's, y's or a power's.
+    """
+    sv, rv = v
+    if u is None:
+        return sv, [c * t for t in rv]
+    su, ru = u
+    i = sv - su
+    if i < 0 or i + len(rv) > len(ru):
+        start = min(su, sv)
+        ru = [0] * (su - start) + ru + [0] * (sv + len(rv) - su - len(ru))
+        su, i = start, sv - start
+    if len(rv) == 1:
+        ru[i] += c * rv[0]
+    else:
+        ru[i:i + len(rv)] = [s + c * t for s, t in zip(ru[i:i + len(rv)], rv)]
+    return su, ru
 
 
 def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:
     p = PolyQQ.__new__(PolyQQ)
     p._terms = terms
     p._hash = None
+    return p
+
+
+def _as_poly(x: PolyQQ | Coeff) -> PolyQQ:
+    p = _coerce(x)
+    if p is NotImplemented:
+        raise TypeError(f"cannot substitute {type(x).__name__!r}")
     return p
 
 

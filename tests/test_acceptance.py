@@ -115,6 +115,16 @@ def test_criterion_05_triangle():
     )
 
 
+def _values_digest(report) -> str:
+    # The report writes lhs/rhs only for failed cases, so a value that drifts
+    # on both sides of an identity needs its own digest.
+    values = _dump_json([
+        [c.id, {k: _param_json(v) for k, v in sorted(c.params.items())}, str(c.lhs), str(c.rhs)]
+        for c in report.results
+    ])
+    return hashlib.sha256(values.encode()).hexdigest()
+
+
 def test_criterion_06_full_suite():
     start = time.perf_counter()
     report = run_suite(max_n=12)
@@ -133,13 +143,7 @@ def test_criterion_06_full_suite():
     ok = ok and hashlib.sha256(stdout.encode()).hexdigest() == (
         "640715d9a2f1ae624de0d59960d59ab070fda86f362cdce759c169a8e9b300bb"
     )
-    # The report writes lhs/rhs only for failed cases, so a value that drifts
-    # on both sides of an identity needs its own digest.
-    values = _dump_json([
-        [c.id, {k: _param_json(v) for k, v in sorted(c.params.items())}, str(c.lhs), str(c.rhs)]
-        for c in report.results
-    ])
-    ok = ok and hashlib.sha256(values.encode()).hexdigest() == (
+    ok = ok and _values_digest(report) == (
         "7624804d2d90c61c04038b6974cd5287f43ecf731a7760e9b74c549113683044"
     )
     _criterion(
@@ -184,4 +188,19 @@ def test_criterion_10_property_suites():
     _criterion(
         10, ok, 300.0, time.perf_counter() - start,
         "500 alphabet pairs, 10^4 Pascal cases, 10^3 round-trips",
+    )
+
+
+def test_criterion_11_values_at_max_n_20():
+    # Past max-n 12 the power sums reach degree 20 (thm4, thm5, jacobi-bridge);
+    # every lhs/rhs value there is pinned too.
+    start = time.perf_counter()
+    report = run_suite(max_n=20)
+    ok = report.ok and report.counts == {"pass": 4729, "fail": 0}
+    ok = ok and _values_digest(report) == (
+        "26d3ce656345086bce673925afb04a1400a182199d25beaa157df266f3a7b2e9"
+    )
+    _criterion(
+        11, ok, 120.0, time.perf_counter() - start,
+        f"values of all {len(report.results)} cases at max-n 20",
     )

@@ -129,3 +129,18 @@ def test_hash_and_eq():
     assert Q + 1 == 1 + Q
     assert PolyQQ.const(Fraction(4, 2)) == PolyQQ.const(2)
     assert PolyQQ.const(5) == 5
+
+
+def test_constants_hash_as_their_values():
+    # Equal objects must hash equal: a constant polynomial equals its value.
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        p = PolyQQ.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+        # The hash is cached and stays the same.
+        assert hash(p) == hash(value)
+    assert hash(PolyQQ.zero()) == hash(0) and len({PolyQQ.zero(), 0}) == 1
+    assert len({PolyQQ.const(Fraction(6, 2)), 3, Fraction(3)}) == 1
+    assert {Q * 0 + 4: "four"}[4] == "four"
+    # Non-constant values keep the structural hash.
+    assert hash(Q + 1) == hash(PolyQQ({(1, 0): 1, (0, 0): 1}))

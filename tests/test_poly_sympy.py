@@ -1,9 +1,10 @@
 """Differential tests of the PolyQQ kernels against sympy.
 
-subst_q (with and without q2) against substitution; *, +, -, eval and
-divexact against sympy's expand, subs and cancel; jacobi11 against
-sympy.jacobi; det_fraction_free against Matrix.det; TruncSeries.reverse by
-composing in sympy.
+subst_q (with and without q2) against substitution, and its dense-row kernel
+on rows of degree up to 30 against PolyElement.compose in sympy's sparse
+ring; *, +, -, eval and divexact against sympy's expand, subs and cancel;
+jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det;
+TruncSeries.reverse by composing in sympy.
 """
 
 import random
@@ -12,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.lambdaring import det_fraction_free
-from narayana_lab.poly import ExactDivisionError, PolyQQ
+from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.rings import ring  # noqa: E402
 
 q, q2 = sympy.symbols("q q2")
 Q = PolyQQ.var_q()
@@ -208,6 +210,130 @@ def test_subst_q2_negative_exponent_raises():
     assert laurent_q2.subst_q(ONE - Q) == ONE - Q + PolyQQ.monomial(1, 0, -1)
     with pytest.raises(ValueError):
         laurent_q2.subst_q(ONE - Q, q2=Q2)
+
+
+# The substitution kernel against sympy's sparse ring.  expand() on a
+# substituted expression takes seconds at degree 30; PolyElement.compose
+# substitutes term by term (each term c*q^a*q2^b becomes c*x^a*y^b, with
+# sympy's own powers and products), another route than the kernel's Horner
+# steps on packed rows.  qi and q2i stand for 1/q and 1/q2, folded back at
+# the end.
+RING, RQ, RQ2, RQI, RQ2I = ring("q,q2,qi,q2i", sympy.QQ)
+
+# Every replacement shape the library passes, and more of each kind.
+SHAPES = (
+    0, 3, -2, Fraction(1, 2), Fraction(-5, 3), PolyQQ.zero(), PolyQQ.const(7),  # constants
+    Q, -Q, ONE - Q, Q - 1, Q * Fraction(2, 3) + Fraction(1, 4),  # q only
+    (Q - 1) * Fraction(1, 2), (Q + 1) * Fraction(1, 2),  # jacobi11's
+    ONE - PolyQQ.monomial(2, -1), PolyQQ.monomial(3, -1) + Q,  # Laurent: 1-2/q
+    Q2, Q2 - 1, ONE - Q2, PolyQQ.monomial(1, -1, 1),  # q2-bearing: q2, q2-1, q^-1*q2
+    Q * Q2 + Fraction(1, 2), PolyQQ.monomial(1, 0, -1) - Q * 2,
+)
+
+
+def to_ring(p: PolyQQ | int | Fraction):
+    if not isinstance(p, PolyQQ):
+        p = PolyQQ.const(p)
+    out = RING.zero
+    for (a, b), c in p.items():
+        mono = (RQ**a if a >= 0 else RQI**-a) * (RQ2**b if b >= 0 else RQ2I**-b)
+        out += mono * sympy.QQ(c.numerator, c.denominator)
+    return out
+
+
+def ring_subst(p: PolyQQ, x, y=None) -> dict:
+    """Laurent terms of p(x, y) (p(x, q2) without y), by sympy's compose."""
+    pairs = [(RQ, to_ring(x))] + ([] if y is None else [(RQ2, to_ring(y))])
+    out: dict = {}
+    for (i, j, k, m), c in to_ring(p).compose(pairs).terms():
+        key = (i - k, j - m)
+        out[key] = out.get(key, 0) + Fraction(int(c.numerator), int(c.denominator))
+    return {key: c for key, c in out.items() if c}
+
+
+def random_coeff(rng: random.Random, rational: bool) -> Coeff:
+    c = rng.randint(-99, 99)
+    return Fraction(c, rng.randint(1, 12)) if rational else c
+
+
+def random_row(rng: random.Random, degree: int, rational: bool, keep_q2: bool) -> PolyQQ:
+    """A q-row of the given degree; with keep_q2, terms also at q2^-2..q2^2."""
+    terms = {(degree, 0): random_coeff(rng, rational) or 1}
+    for a in range(degree):
+        if rng.random() < 0.8:
+            b = rng.randint(-2, 2) if keep_q2 else 0
+            terms[(a, b)] = random_coeff(rng, rational)
+    return PolyQQ(terms)
+
+
+def random_table(rng: random.Random, degree: int, rational: bool) -> PolyQQ:
+    """Coefficients at every (a, b) with a + b <= degree, as in h_of's table."""
+    return PolyQQ({
+        (a, b): random_coeff(rng, rational)
+        for a in range(degree + 1)
+        for b in range(degree + 1 - a)
+        if rng.random() < 0.8
+    })
+
+
+DEGREES = (0, 1, 2, 5, 9, 16, 23, 30)
+
+
+def test_subst_q_kernel_one_variable_against_sympy():
+    rng = random.Random(2024)
+    for i, x in enumerate(SHAPES):
+        for rational in (False, True):
+            for keep_q2 in (False, True):
+                degree = DEGREES[(i + 2 * rational + keep_q2) % len(DEGREES)]
+                p = random_row(rng, degree, rational, keep_q2)
+                got = p.subst_q(x)
+                assert isinstance(got, PolyQQ)
+                assert dict(got.items()) == ring_subst(p, x), (p, x)
+                assert_canonical(got)
+
+
+def test_subst_q_kernel_two_variables_against_sympy():
+    rng = random.Random(4048)
+    # Every shape on each side, then the DSL's atom pairs, as h_of passes them.
+    atoms = (Q, ONE - Q, Q2, ONE - Q2)
+    pairs = (
+        [(x, rng.choice(SHAPES)) for x in SHAPES]
+        + [(rng.choice(SHAPES), y) for y in SHAPES]
+        + [(x, y) for x in atoms for y in atoms]
+    )
+    for i, (x, y) in enumerate(pairs):
+        degree = DEGREES[i % len(DEGREES)]
+        for rational in (False, True):
+            p = random_table(rng, min(degree, 16), rational)
+            got = p.subst_q(x, q2=y)
+            assert dict(got.items()) == ring_subst(p, x, y), (p, x, y)
+            assert_canonical(got)
+    # The largest: degree 30 both ways, with jacobi11's rational pair.
+    half = Fraction(1, 2)
+    for x, y in (((Q - 1) * half, (Q + 1) * half), (Q, ONE - Q2), (PolyQQ.monomial(1, -1, 1), Q2 - 1)):
+        p = random_table(rng, 30, rational=True)
+        assert dict(p.subst_q(x, q2=y).items()) == ring_subst(p, x, y), (x, y)
+
+
+def test_subst_q_uses_no_polynomial_arithmetic(monkeypatch):
+    rng = random.Random(99)
+    half = Fraction(1, 2)
+    cases = [
+        (random_row(rng, 30, True, True), ONE - PolyQQ.monomial(2, -1), None),
+        (random_row(rng, 12, False, False), Fraction(1, 2), None),
+        (random_row(rng, 20, False, True), PolyQQ.monomial(1, -1, 1), None),
+        (random_table(rng, 20, False), (Q - 1) * half, (Q + 1) * half),
+        (random_table(rng, 12, True), Q2 - 1, PolyQQ.monomial(1, -1, 1)),
+    ]
+    expected = [ring_subst(p, x, y) for p, x, y in cases]
+
+    def refuse(*args):
+        raise AssertionError("PolyQQ arithmetic inside subst_q")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__neg__", "__pow__"):
+        monkeypatch.setattr(PolyQQ, name, refuse)
+    for (p, x, y), want in zip(cases, expected):
+        assert dict(p.subst_q(x, q2=y).items()) == want
 
 
 def test_jacobi11_against_sympy():
