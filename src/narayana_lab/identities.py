@@ -56,7 +56,8 @@ SUITE_VERSION = "1"
 DEFAULT_SEED = 1
 
 DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
-# The largest documented run; past it one identity alone can take minutes.
+# The largest documented run, about 5 s on one CPU; the grid identities
+# (thm4, thm5) grow steeply past it, and the whole suite takes about 15 s at 40.
 VERIFY_MAX_N_CAP = 30
 
 _Q = VALUE_Q
@@ -385,14 +386,26 @@ def _pieri_hook(p: Params):
     domain={"r": (1, None)},
 )
 def _new_formula(p: Params):
+    # The sum over partitions mu of r of w^(l(mu)-1)/z_mu * prod_i p_i^m_i, with
+    # w = r+1 and p_i = 1-(1-q)^i, is h_r[w*X]/w at the power sums p_i.  Newton's
+    # identity n*h_n = sum_i p_i*h_(n-i) (Macdonald I (2.11)) gives it from
+    # Y_0 = 1, Y_n = n!*h_n[w*X] = w * sum_i (n-1)!/(n-i)! * p_i * Y_(n-i), in
+    # ints.  In x = 1-q each p_i*Y is Y - x^i*Y, so the Y are rows in x and one
+    # subst_q puts q back.
     r = p["r"]
-    rhs = PolyQQ.zero()
-    for mu in enumerate_partitions(r):
-        weight = Fraction((r + 1) ** (mu.length - 1), z_of(mu))
-        prod = _ONE
-        for i, m in mu.multiplicities().items():
-            prod = prod * (_ONE - _OMQ**i) ** m
-        rhs = rhs + prod * weight
+    w = r + 1
+    ys = [[1]]
+    for n in range(1, r + 1):
+        row = [0] * (n + 1)
+        weight = 1  # (n-1)!/(n-i)!
+        for i in range(1, n + 1):
+            for k, c in enumerate(ys[n - i]):
+                row[k] += weight * c
+                row[k + i] -= weight * c
+            weight *= n - i
+        ys.append([w * c for c in row])
+    den = math.factorial(r) * w
+    rhs = PolyQQ.from_q_coefficients([Fraction(c, den) for c in ys[r]]).subst_q(_OMQ)
     return large_narayana(r), rhs
 
 
@@ -590,6 +603,24 @@ def _rothe(p: Params):
 # --------------------------------------------------------------------------
 
 
+def _convolution(terms: list[tuple[PolyQQ, list[int]]], base: PolyQQ) -> PolyQQ:
+    """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
+
+    sum_k c_(k,m) * row_k[a] goes to exponent (m, a), so one
+    subst_q(base, q2=q) evaluates the whole sum.
+    """
+    rows = [(row.q_coefficients(), coeffs) for row, coeffs in terms]
+    width = max(len(vals) for vals, _ in rows)
+    table = [[0] * width for _ in range(max(len(coeffs) for _, coeffs in rows))]
+    for vals, coeffs in rows:
+        for col, cm in zip(table, coeffs):
+            if cm:
+                col[:len(vals)] = [s + cm * t for s, t in zip(col, vals)]
+    return PolyQQ(
+        {(m, a): c for m, col in enumerate(table) for a, c in enumerate(col)}
+    ).subst_q(base, q2=_Q)
+
+
 @_register(
     "koshy",
     "Catalan numbers satisfy the alternating binomial recurrence",
@@ -613,13 +644,12 @@ def _koshy(p: Params):
 )
 def _thm3(p: Params):
     n = p["n"]
-    rhs = _OMQ ** (n - 1)
+    terms = [(_ONE, [0] * (n - 1) + [1])]  # (1-q)^(n-1)
     for k in range(1, n):
         # The m-th term carries (1-q)^(k-m-1), so the list is read backwards.
-        terms = [(-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)]
-        inner = PolyQQ.from_q_coefficients(terms[::-1]).subst_q(_OMQ)
-        rhs = rhs + narayana(n - k) * inner * _Q
-    return narayana(n), rhs
+        coeffs = [(-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)]
+        terms.append((large_narayana(n - k), coeffs[::-1]))
+    return narayana(n), _convolution(terms, _OMQ)
 
 
 @_register(
@@ -714,12 +744,11 @@ def _jonah_alt(p: Params):
 )
 def _thm4(p: Params):
     n, r = p["n"], p["r"]
-    lhs = narayana(r)
+    terms = [(narayana(r), [1])]
     for k in range(1, r):
-        inner = PolyQQ.from_q_coefficients(
-            [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
-        ).subst_q(_QM1)
-        lhs = lhs + narayana(r - k) * inner * _Q
+        coeffs = [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
+        terms.append((large_narayana(r - k), coeffs))
+    lhs = _convolution(terms, _QM1)
     rhs = PolyQQ.from_q_coefficients(
         [gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
     ).subst_q(_QM1)
@@ -755,16 +784,14 @@ def _thm4_schroeder(p: Params):
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
-    lhs = PolyQQ.zero()
-    for k in range(r + 1):
-        inner = PolyQQ.from_q_coefficients(
-            [
-                gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m)
-                for m in range(r - k + 1)
-            ]
-        ).subst_q(_OMQ)
-        lhs = lhs + large_narayana(k) * inner
-    return lhs, PolyQQ.const(gen_binomial(n + 1, r))
+    terms = [
+        (
+            large_narayana(k),
+            [gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m) for m in range(r - k + 1)],
+        )
+        for k in range(r + 1)
+    ]
+    return _convolution(terms, _OMQ), PolyQQ.const(gen_binomial(n + 1, r))
 
 
 @_register(
@@ -836,28 +863,22 @@ def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
 def _thm6_spec_q1(p: Params):
     n, display = p["n"], p["display"]
     if display == 1:
-        lhs = large_narayana(n) * (n + 1)
-        rhs = PolyQQ.zero()
-        for k in range(n + 1):
-            inner = PolyQQ.from_q_coefficients(
-                [
-                    gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j)
-                    for j in range(k + 1)
-                ]
-            ).subst_q(_QM1)
-            rhs = rhs + inner * catalan(n - k)
-        return lhs, rhs
-    lhs = PolyQQ.const((n + 1) * catalan(n))
-    rhs = PolyQQ.zero()
-    for k in range(n + 1):
-        inner = PolyQQ.from_q_coefficients(
-            [
-                gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i)
-                for i in range(k + 1)
-            ]
-        ).subst_q(_OMQ)
-        rhs = rhs + large_narayana(n - k) * inner
-    return lhs, rhs
+        terms = [
+            (
+                PolyQQ.const(catalan(n - k)),
+                [gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j) for j in range(k + 1)],
+            )
+            for k in range(n + 1)
+        ]
+        return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
+    terms = [
+        (
+            large_narayana(n - k),
+            [gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i) for i in range(k + 1)],
+        )
+        for k in range(n + 1)
+    ]
+    return PolyQQ.const((n + 1) * catalan(n)), _convolution(terms, _OMQ)
 
 
 @_register(

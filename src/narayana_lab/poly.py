@@ -336,6 +336,13 @@ class PolyQQ:
         sums c_ab*dy^(B-b)*yn^b*dx^(K-a), one convolution per step, with yn^b
         from one table of powers; one PolyQQ is built at the end, over
         d*dy^B*dx^K.
+
+        Time and memory grow with the exponent window, not with the number of
+        terms: the rows span K times the spread of x's exponents (0 included),
+        plus B times that of y, in each of q and q2, where K and B are self's
+        top degrees in q and q2.  A sparse high-degree replacement is as dear
+        as a dense one of its degree: x = q^200 + 1 into a degree-30 row packs
+        rows 6,001 wide.
         """
         terms = self._terms
         if not terms:

@@ -49,7 +49,7 @@ def large_narayana(n: int) -> PolyQQ:
     """q * C_n(q) for n >= 1, and 1 at n = 0."""
     if n == 0:
         return _ONE
-    return _Q * narayana(n)
+    return PolyQQ({(a + 1, b): c for (a, b), c in narayana(n).items()})
 
 
 def catalan(n: int) -> int:

@@ -204,3 +204,18 @@ def test_criterion_11_values_at_max_n_20():
         11, ok, 120.0, time.perf_counter() - start,
         f"values of all {len(report.results)} cases at max-n 20",
     )
+
+
+def test_criterion_12_values_at_max_n_30():
+    # The largest run that verify accepts (VERIFY_MAX_N_CAP): every lhs/rhs
+    # value there is pinned too.
+    start = time.perf_counter()
+    report = run_suite(max_n=30)
+    ok = report.ok and report.counts == {"pass": 9589, "fail": 0}
+    ok = ok and _values_digest(report) == (
+        "52bec5df851c7ab74ff4a7c753a8e75680ae071e4d7c38dfdb42a85d41c439fc"
+    )
+    _criterion(
+        12, ok, 120.0, time.perf_counter() - start,
+        f"values of all {len(report.results)} cases at max-n 30",
+    )

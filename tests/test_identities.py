@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,15 @@ from narayana_lab.identities import (
     registered_ids,
     run_suite,
 )
+from narayana_lab.partitions import enumerate_partitions, z_of
+from narayana_lab.poly import PolyQQ
+from narayana_lab.rationals import gen_binomial
+from narayana_lab.sequences import catalan, large_narayana, narayana
+
+Q = PolyQQ.var_q()
+ONE = PolyQQ.one()
+OMQ = ONE - Q
+QM1 = Q - ONE
 
 EXPECTED_IDS = {
     "gf-quadratic", "vanishing-sum", "partial-sum", "interesting",
@@ -166,3 +176,96 @@ def test_deep_schedules_reach_twenty():
 
     thm6 = REGISTRY["thm6"].schedule(12, random.Random(0))
     assert max(p["n"] for p in thm6) == 12
+
+
+def test_new_formula_equals_the_partition_sum():
+    # The literal sum over partitions mu of r of
+    # (r+1)^(l(mu)-1)/z_mu * prod_i (1-(1-q)^i)^m_i, which `new-formula`
+    # evaluates by Newton's recurrence instead.
+    for r in range(1, 13):
+        total = PolyQQ.zero()
+        for mu in enumerate_partitions(r):
+            prod = ONE
+            for i, m in mu.multiplicities().items():
+                prod = prod * (ONE - OMQ**i) ** m
+            total = total + prod * Fraction((r + 1) ** (mu.length - 1), z_of(mu))
+        assert check_identity("new-formula", {"r": r}).rhs == total, r
+
+
+def _inner(coeffs, base):
+    return PolyQQ.from_q_coefficients(coeffs).subst_q(base)
+
+
+def _thm3_by_terms(n):
+    rhs = OMQ ** (n - 1)
+    for k in range(1, n):
+        terms = [(-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)]
+        rhs = rhs + narayana(n - k) * _inner(terms[::-1], OMQ) * Q
+    return rhs
+
+
+def _thm4_by_terms(n, r):
+    lhs = narayana(r)
+    for k in range(1, r):
+        coeffs = [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
+        lhs = lhs + narayana(r - k) * _inner(coeffs, QM1) * Q
+    return lhs
+
+
+def _thm5_by_terms(n, r):
+    lhs = PolyQQ.zero()
+    for k in range(r + 1):
+        coeffs = [gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m) for m in range(r - k + 1)]
+        lhs = lhs + large_narayana(k) * _inner(coeffs, OMQ)
+    return lhs
+
+
+def _thm6_spec_q1_by_terms(n, display):
+    rhs = PolyQQ.zero()
+    for k in range(n + 1):
+        if display == 1:
+            coeffs = [gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j) for j in range(k + 1)]
+            rhs = rhs + _inner(coeffs, QM1) * catalan(n - k)
+        else:
+            coeffs = [gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i) for i in range(k + 1)]
+            rhs = rhs + large_narayana(n - k) * _inner(coeffs, OMQ)
+    return rhs
+
+
+def test_convolutions_equal_their_per_term_products():
+    # One substitution per case sums what these loops build term by term.
+    for n in range(1, 9):
+        assert check_identity("thm3", {"n": n}).rhs == _thm3_by_terms(n), n
+        for display in (1, 2):
+            case = check_identity("thm6-spec-q1", {"n": n, "display": display})
+            assert case.rhs == _thm6_spec_q1_by_terms(n, display), (n, display)
+        for r in range(1, 9):
+            assert check_identity("thm4", {"n": n, "r": r}).lhs == _thm4_by_terms(n, r), (n, r)
+            assert check_identity("thm5", {"n": n, "r": r}).lhs == _thm5_by_terms(n, r), (n, r)
+
+
+def test_new_formula_and_convolutions_substitute_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("new-formula enumerated partitions")
+
+    monkeypatch.setattr("narayana_lab.identities.enumerate_partitions", refuse)
+    monkeypatch.setattr("narayana_lab.identities.z_of", refuse)
+    calls = []
+    subst_q = PolyQQ.subst_q
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return subst_q(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyQQ, "subst_q", counting)
+    for id, params, want in (
+        ("new-formula", {"r": 9}, 1),
+        ("thm3", {"n": 9}, 1),
+        ("thm4", {"n": 9, "r": 7}, 2),  # its lhs and its rhs
+        ("thm5", {"n": 9, "r": 7}, 1),
+        ("thm6-spec-q1", {"n": 9, "display": 1}, 1),
+        ("thm6-spec-q1", {"n": 9, "display": 2}, 1),
+    ):
+        calls.clear()
+        assert check_identity(id, params).passed
+        assert len(calls) == want, (id, params)
