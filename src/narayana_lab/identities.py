@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .lambdaring import (
@@ -36,7 +36,7 @@ from .partitions import (
     iter_subsets,
     z_of,
 )
-from .poly import Coeff, PolyQQ
+from .poly import Coeff, PolyQQ, _as_poly
 from .rationals import frac_binomial, gen_binomial
 from .sequences import (
     catalan,
@@ -67,6 +67,9 @@ _QM1 = _Q - 1
 _ONE = PolyQQ.one()
 
 Params = dict[str, "int | Fraction"]
+# Pairs (row_k, coefficients of I_k) of a sum over k of row_k * I_k, where a
+# row is a PolyQQ in q or an int.
+_Terms = list[tuple["PolyQQ | int", list[int]]]
 
 
 class UnknownIdentityError(ValueError):
@@ -118,10 +121,6 @@ def _register(
         return fn
 
     return deco
-
-
-def _as_poly(x: PolyQQ | Coeff) -> PolyQQ:
-    return x if isinstance(x, PolyQQ) else PolyQQ.const(x)
 
 
 def check_identity(id: str, params: Params) -> IdentityCase:
@@ -508,6 +507,8 @@ def _rot(p: Params):
     rho = rhos[i]
     total = Fraction(0)
     for mu, nu in decompositions(rho):
+        if z + mu.weight == 0:
+            raise ScheduleError("z + |mu| must not vanish so the weights are defined")
         total += (
             composition_multiplicity(mu)
             * composition_multiplicity(nu)
@@ -532,6 +533,8 @@ def _sched_lemma3(max_n: int, rng: random.Random) -> list[Params]:
 
 def _lemma3_sides(p: Params, full: bool) -> tuple[int, int]:
     n = p["n"]
+    if any(f"{v}{i}" not in p for i in range(1, n + 1) for v in "xy"):
+        raise ScheduleError(f"parameters x1..x{n} and y1..y{n} are required")
     xs = [p[f"x{i}"] for i in range(1, n + 1)]
     ys = [p[f"y{i}"] for i in range(1, n + 1)]
     top = n if full else n - 1
@@ -582,7 +585,7 @@ def _sched_rothe(max_n: int, rng: random.Random) -> list[Params]:
     "rothe",
     "self-dual convolution with weights x/(x-k) at y = -x",
     _sched_rothe,
-    domain={"n": (0, None)},
+    domain={"n": (0, None), "x": (None, None)},
 )
 def _rothe(p: Params):
     n, x = p["n"], p["x"]
@@ -603,13 +606,13 @@ def _rothe(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _convolution(terms: list[tuple[PolyQQ, list[int]]], base: PolyQQ) -> PolyQQ:
+def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
     """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
 
     sum_k c_(k,m) * row_k[a] goes to exponent (m, a), so one
     subst_q(base, q2=q) evaluates the whole sum.
     """
-    rows = [(row.q_coefficients(), coeffs) for row, coeffs in terms]
+    rows = [(row.q_coefficients() if isinstance(row, PolyQQ) else [row], c) for row, c in terms]
     width = max(len(vals) for vals, _ in rows)
     table = [[0] * width for _ in range(max(len(coeffs) for _, coeffs in rows))]
     for vals, coeffs in rows:
@@ -619,6 +622,11 @@ def _convolution(terms: list[tuple[PolyQQ, list[int]]], base: PolyQQ) -> PolyQQ:
     return PolyQQ(
         {(m, a): c for m, col in enumerate(table) for a, c in enumerate(col)}
     ).subst_q(base, q2=_Q)
+
+
+def _at_two(terms: _Terms, base: int) -> int:
+    """sum_k row_k * I_k at q = 2, where the base of I_k (1-q or q-1) is -1 or 1."""
+    return sum(row * (sum(coeffs[::2]) + base * sum(coeffs[1::2])) for row, coeffs in terms)
 
 
 @_register(
@@ -636,6 +644,22 @@ def _koshy(p: Params):
     return catalan(n), rhs
 
 
+def _thm3_terms(n: int, large: Callable) -> _Terms:
+    """thm3's rhs: pairs (+-large(n-k), coefficients of I_k in q-1), k = 1..n.
+
+    large(j) is q*C_j(q) or its value.  With e = k-m-1, the paper's m-th term
+    (-1)^m*C(k-1,m)*C(n-m,k)*(1-q)^e is (-1)^(k-1)*C(k-1,e)*C(n-k+1+e,k)*(q-1)^e,
+    so the sign goes into the row.  At k = n only m = 0 is left, with row
+    large(0) = 1.
+    """
+    terms = [((-1) ** (n - 1), [0] * (n - 1) + [1])]
+    for k in range(1, n):
+        row = large(n - k)
+        coeffs = [math.comb(k - 1, e) * math.comb(n - k + 1 + e, k) for e in range(k)]
+        terms.append((row if k % 2 else -row, coeffs))
+    return terms
+
+
 @_register(
     "thm3",
     "Narayana polynomials satisfy the alternating (1-q)-weighted recurrence",
@@ -644,12 +668,7 @@ def _koshy(p: Params):
 )
 def _thm3(p: Params):
     n = p["n"]
-    terms = [(_ONE, [0] * (n - 1) + [1])]  # (1-q)^(n-1)
-    for k in range(1, n):
-        # The m-th term carries (1-q)^(k-m-1), so the list is read backwards.
-        coeffs = [(-1) ** m * gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)]
-        terms.append((large_narayana(n - k), coeffs[::-1]))
-    return narayana(n), _convolution(terms, _OMQ)
+    return narayana(n), _convolution(_thm3_terms(n, large_narayana), _QM1)
 
 
 @_register(
@@ -660,13 +679,7 @@ def _thm3(p: Params):
 )
 def _thm3_schroeder(p: Params):
     n = p["n"]
-    rhs = (-1) ** (n - 1)
-    for k in range(1, n):
-        inner = sum(
-            gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k)
-        )
-        rhs += 2 * (-1) ** (k - 1) * schroeder("small", n - k) * inner
-    return schroeder("small", n), rhs
+    return schroeder("small", n), _at_two(_thm3_terms(n, partial(schroeder, "large")), 1)
 
 
 def _sched_lemma4(max_n: int, rng: random.Random) -> list[Params]:
@@ -735,6 +748,18 @@ def _jonah_alt(p: Params):
     return lhs, gen_binomial(n, r - 1)
 
 
+def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Terms, list[int]]:
+    """thm4's lhs as pairs (row, coefficients of I_k in q-1), and its rhs's
+    coefficients in q-1.  The rows are small(r) = C_r(q), then large(r-k) =
+    q*C_(r-k)(q) for k = 1..r-1, or their values."""
+    # The tops n-2r+2k-m and n-m can be negative; the others cannot.
+    lhs = [(small(r), [1])]
+    for k in range(1, r):
+        coeffs = [math.comb(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
+        lhs.append((large(r - k), coeffs))
+    return lhs, [math.comb(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
+
+
 @_register(
     "thm4",
     "Narayana analogue of the Catalan convolution: weighted double-binomial "
@@ -743,16 +768,8 @@ def _jonah_alt(p: Params):
     domain={"n": (1, None), "r": (1, None)},
 )
 def _thm4(p: Params):
-    n, r = p["n"], p["r"]
-    terms = [(narayana(r), [1])]
-    for k in range(1, r):
-        coeffs = [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
-        terms.append((large_narayana(r - k), coeffs))
-    lhs = _convolution(terms, _QM1)
-    rhs = PolyQQ.from_q_coefficients(
-        [gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
-    ).subst_q(_QM1)
-    return lhs, rhs
+    lhs, rhs = _thm4_sides(p["n"], p["r"], narayana, large_narayana)
+    return _convolution(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
 
 
 @_register(
@@ -762,18 +779,20 @@ def _thm4(p: Params):
     domain={"n": (1, None), "r": (1, None)},
 )
 def _thm4_schroeder(p: Params):
-    n, r = p["n"], p["r"]
-    lhs = schroeder("small", r)
-    for k in range(1, r):
-        inner = sum(
-            gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k)
-            for m in range(k)
+    small, large = partial(schroeder, "small"), partial(schroeder, "large")
+    lhs, rhs = _thm4_sides(p["n"], p["r"], small, large)
+    return _at_two(lhs, 1), sum(rhs)
+
+
+def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
+    """thm5's lhs: pairs (large(k) = q*C_k(q) or its value, coefficients of I_k in 1-q)."""
+    return [
+        (
+            large(k),
+            [gen_binomial(n - 2 * k - m, r - k - m) * math.comb(k + m, m) for m in range(r - k + 1)],
         )
-        lhs += 2 * schroeder("small", r - k) * inner
-    rhs = sum(
-        gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)
-    )
-    return lhs, rhs
+        for k in range(r + 1)
+    ]
 
 
 @_register(
@@ -784,14 +803,7 @@ def _thm4_schroeder(p: Params):
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
-    terms = [
-        (
-            large_narayana(k),
-            [gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m) for m in range(r - k + 1)],
-        )
-        for k in range(r + 1)
-    ]
-    return _convolution(terms, _OMQ), PolyQQ.const(gen_binomial(n + 1, r))
+    return _convolution(_thm5_terms(n, r, large_narayana), _OMQ), gen_binomial(n + 1, r)
 
 
 @_register(
@@ -802,16 +814,7 @@ def _thm5(p: Params):
 )
 def _thm5_schroeder(p: Params):
     n, r = p["n"], p["r"]
-    lhs = 0
-    for k in range(r + 1):
-        inner = sum(
-            (-1) ** m
-            * gen_binomial(n - 2 * k - m, r - k - m)
-            * gen_binomial(k + m, m)
-            for m in range(r - k + 1)
-        )
-        lhs += schroeder("large", k) * inner
-    return lhs, gen_binomial(n + 1, r)
+    return _at_two(_thm5_terms(n, r, partial(schroeder, "large")), -1), gen_binomial(n + 1, r)
 
 
 # --------------------------------------------------------------------------
@@ -819,17 +822,10 @@ def _thm5_schroeder(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _transition_inner(n: int, k: int, base_i: PolyQQ | int, base_j: PolyQQ | int) -> PolyQQ:
-    """sum over i+j <= k of base_i^i base_j^j C(n-k+i,i) C(n+1,j) C(2k-i-j-1,k-i-j)."""
-    return PolyQQ(
-        {
-            (i, j): gen_binomial(n - k + i, i)
-            * gen_binomial(n + 1, j)
-            * gen_binomial(2 * k - i - j - 1, k - i - j)
-            for i in range(k + 1)
-            for j in range(k + 1 - i)
-        }
-    ).subst_q(base_i, q2=base_j)
+def _thm6_coeff(n: int, k: int, i: int, j: int) -> int:
+    """t_ij of T_k(x, y) = sum over i+j <= k of t_ij*x^i*y^j, thm6's weight of q*C_(n-k)."""
+    # Only the last top can be negative (-1, at k = 0).
+    return math.comb(n - k + i, i) * math.comb(n + 1, j) * gen_binomial(2 * k - i - j - 1, k - i - j)
 
 
 @_register(
@@ -840,11 +836,15 @@ def _transition_inner(n: int, k: int, base_i: PolyQQ | int, base_j: PolyQQ | int
     domain={"n": (1, None)},
 )
 def _thm6(p: Params):
+    # T_k(1-q, q'-1) is a polynomial in q and q', and q*C_(n-k) one in q: the
+    # sum has three exponents, so each k takes its own substitution and product.
     n = p["n"]
     lhs = large_narayana(n).subst_q(_Q2) * (n + 1)
     rhs = PolyQQ.zero()
     for k in range(n + 1):
-        rhs = rhs + large_narayana(n - k) * _transition_inner(n, k, _OMQ, _Q2 - 1)
+        rhs = rhs + large_narayana(n - k) * PolyQQ(
+            {(i, j): _thm6_coeff(n, k, i, j) for i in range(k + 1) for j in range(k + 1 - i)}
+        ).subst_q(_OMQ, q2=_Q2 - 1)
     return lhs, rhs
 
 
@@ -863,22 +863,18 @@ def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
 def _thm6_spec_q1(p: Params):
     n, display = p["n"], p["display"]
     if display == 1:
+        # q = 1, so x = 0: T_k's slice i = 0, in y = q'-1 with q' written q.
         terms = [
-            (
-                PolyQQ.const(catalan(n - k)),
-                [gen_binomial(n + 1, j) * gen_binomial(2 * k - j - 1, k - j) for j in range(k + 1)],
-            )
+            (catalan(n - k), [_thm6_coeff(n, k, 0, j) for j in range(k + 1)])
             for k in range(n + 1)
         ]
         return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
+    # q' = 1, so y = 0: T_k's slice j = 0, in x = 1-q.
     terms = [
-        (
-            large_narayana(n - k),
-            [gen_binomial(n - k + i, i) * gen_binomial(2 * k - i - 1, k - i) for i in range(k + 1)],
-        )
+        (large_narayana(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
         for k in range(n + 1)
     ]
-    return PolyQQ.const((n + 1) * catalan(n)), _convolution(terms, _OMQ)
+    return (n + 1) * catalan(n), _convolution(terms, _OMQ)
 
 
 @_register(
@@ -890,16 +886,24 @@ def _thm6_spec_q1(p: Params):
 def _thm6_spec_q2(p: Params):
     n, display = p["n"], p["display"]
     if display == 1:
-        lhs = large_narayana(n) * (n + 1)
-        rhs = PolyQQ.zero()
-        for k in range(n + 1):
-            rhs = rhs + _transition_inner(n, k, -1, _Q - 1) * schroeder("large", n - k)
-        return lhs, rhs
-    lhs = PolyQQ.const((n + 1) * schroeder("large", n))
-    rhs = PolyQQ.zero()
-    for k in range(n + 1):
-        rhs = rhs + large_narayana(n - k) * _transition_inner(n, k, _OMQ, 1)
-    return lhs, rhs
+        # q = 2, so x = -1: T_k's signed column sums, in y = q'-1 with q' written q.
+        terms = [
+            (
+                schroeder("large", n - k),
+                [sum((-1) ** i * _thm6_coeff(n, k, i, j) for i in range(k + 1 - j)) for j in range(k + 1)],
+            )
+            for k in range(n + 1)
+        ]
+        return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
+    # q' = 2, so y = 1: T_k's row sums, in x = 1-q.
+    terms = [
+        (
+            large_narayana(n - k),
+            [sum(_thm6_coeff(n, k, i, j) for j in range(k + 1 - i)) for i in range(k + 1)],
+        )
+        for k in range(n + 1)
+    ]
+    return (n + 1) * schroeder("large", n), _convolution(terms, _OMQ)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from .partitions import Partition, composition_multiplicity
-from .poly import Coeff, PolyQQ
+from .poly import Coeff, PolyQQ, _as_poly
 from .rationals import gen_binomial
 from .series import TruncSeries
 
@@ -275,9 +275,8 @@ class HSequence:
     Schur values from Jacobi-Trudi.
     """
 
-    def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff], name: str = ""):
+    def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff]):
         self._h_fn = h_fn
-        self.name = name
         self._h_cache: dict[int, PolyQQ] = {}
         self._p_cache: dict[int, PolyQQ] = {}
 
@@ -285,9 +284,7 @@ class HSequence:
         if n < 0:
             raise ValueError("h index must be nonnegative")
         if n not in self._h_cache:
-            value = self._h_fn(n)
-            if not isinstance(value, PolyQQ):
-                value = PolyQQ.const(value)
+            value = _as_poly(self._h_fn(n))
             if n == 0 and value != PolyQQ.one():
                 raise ValueError("an h-sequence must start with h_0 = 1")
             self._h_cache[n] = value

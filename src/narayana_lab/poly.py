@@ -508,9 +508,11 @@ def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:
 
 
 def _as_poly(x: PolyQQ | Coeff) -> PolyQQ:
+    if isinstance(x, PolyQQ):
+        return x
     p = _coerce(x)
     if p is NotImplemented:
-        raise TypeError(f"cannot substitute {type(x).__name__!r}")
+        raise TypeError(f"cannot use {type(x).__name__!r} as a polynomial")
     return p
 
 

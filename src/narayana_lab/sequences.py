@@ -58,11 +58,11 @@ def catalan(n: int) -> int:
 
 
 def schroeder(kind: str, n: int) -> int:
-    """Schroeder numbers as q = 2 values: 'small' of C_n, 'large' of q*C_n."""
+    """Schroeder numbers as q = 2 values: 'small' of C_n, 'large' of q*C_n (2*C_n(2), 1 at 0)."""
     if kind == "small":
         return narayana(n).eval(at_q=2)
     if kind == "large":
-        return large_narayana(n).eval(at_q=2)
+        return 2 * narayana(n).eval(at_q=2) if n else 1
     raise ValueError(f"unknown Schroeder kind {kind!r}")
 
 
@@ -152,13 +152,13 @@ def master_formula(eta: int, zeta: int, r: int) -> PolyQQ:
 @cache
 def narayana_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Narayana polynomials."""
-    return HSequence(narayana, name="narayana")
+    return HSequence(narayana)
 
 
 @cache
 def catalan_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Catalan numbers."""
-    return HSequence(lambda n: PolyQQ.const(catalan(n)), name="catalan")
+    return HSequence(catalan)
 
 
 def narayana_power_sum(r: int) -> PolyQQ:

@@ -6,22 +6,13 @@ binary operations on mismatched orders truncate to the smaller one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Coeff, PolyQQ
+from .poly import Coeff, PolyQQ, _as_poly
 
 
 class NotInvertibleError(ArithmeticError):
     """Constant term is not a unit of the Laurent ring."""
-
-
-def _as_poly(x: PolyQQ | Coeff) -> PolyQQ:
-    if isinstance(x, PolyQQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return PolyQQ.const(x)
-    raise TypeError(f"cannot use {x!r} as a series coefficient")
 
 
 class TruncSeries:

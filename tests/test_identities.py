@@ -17,7 +17,7 @@ from narayana_lab.identities import (
 from narayana_lab.partitions import enumerate_partitions, z_of
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
-from narayana_lab.sequences import catalan, large_narayana, narayana
+from narayana_lab.sequences import catalan, large_narayana, narayana, schroeder
 
 Q = PolyQQ.var_q()
 ONE = PolyQQ.one()
@@ -77,6 +77,15 @@ def test_params_out_of_schedule():
         check_identity("strinc", {"n": 11})
     with pytest.raises(ScheduleError):
         check_identity("lagrange-thm2", {"r": 2, "form": 0, "a": 99})
+    # A parameter that only the evaluator reads, and a pole of a weight.
+    with pytest.raises(ScheduleError):
+        check_identity("rothe", {"n": 2})
+    with pytest.raises(ScheduleError):
+        check_identity("lemma3-a", {"n": 2})
+    with pytest.raises(ScheduleError):
+        check_identity("lemma3-b", {"n": 2, "x1": 1, "x2": 2, "y1": 0})
+    with pytest.raises(ScheduleError):
+        check_identity("rot", {"w": 1, "i": 0, "z": 0})
 
 
 def test_max_n_floor():
@@ -232,16 +241,83 @@ def _thm6_spec_q1_by_terms(n, display):
     return rhs
 
 
+def _transition_sum(n, k, base_i, base_j):
+    # T_k(base_i, base_j), substituted term by term.
+    return PolyQQ(
+        {
+            (i, j): gen_binomial(n - k + i, i)
+            * gen_binomial(n + 1, j)
+            * gen_binomial(2 * k - i - j - 1, k - i - j)
+            for i in range(k + 1)
+            for j in range(k + 1 - i)
+        }
+    ).subst_q(base_i, q2=base_j)
+
+
+def _thm6_by_terms(n):
+    rhs = PolyQQ.zero()
+    for k in range(n + 1):
+        rhs = rhs + large_narayana(n - k) * _transition_sum(n, k, OMQ, PolyQQ.var_q2() - 1)
+    return rhs
+
+
+def _thm6_spec_q2_by_terms(n, display):
+    rhs = PolyQQ.zero()
+    for k in range(n + 1):
+        if display == 1:
+            rhs = rhs + _transition_sum(n, k, -1, QM1) * schroeder("large", n - k)
+        else:
+            rhs = rhs + large_narayana(n - k) * _transition_sum(n, k, OMQ, 1)
+    return rhs
+
+
+def _thm3_schroeder_by_terms(n):
+    rhs = (-1) ** (n - 1)
+    for k in range(1, n):
+        inner = sum(gen_binomial(k - 1, m) * gen_binomial(n - m, k) for m in range(k))
+        rhs += 2 * (-1) ** (k - 1) * schroeder("small", n - k) * inner
+    return rhs
+
+
+def _thm4_schroeder_by_terms(n, r):
+    lhs = schroeder("small", r)
+    for k in range(1, r):
+        inner = sum(gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k))
+        lhs += 2 * schroeder("small", r - k) * inner
+    rhs = sum(gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r))
+    return lhs, rhs
+
+
+def _thm5_schroeder_by_terms(n, r):
+    lhs = 0
+    for k in range(r + 1):
+        inner = sum(
+            (-1) ** m * gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m)
+            for m in range(r - k + 1)
+        )
+        lhs += schroeder("large", k) * inner
+    return lhs
+
+
 def test_convolutions_equal_their_per_term_products():
-    # One substitution per case sums what these loops build term by term.
+    # One substitution per case, or one integer sum at q = 2, gives what these
+    # loops build term by term.
     for n in range(1, 9):
         assert check_identity("thm3", {"n": n}).rhs == _thm3_by_terms(n), n
+        assert check_identity("thm3-schroeder", {"n": n}).rhs == _thm3_schroeder_by_terms(n), n
+        assert check_identity("thm6", {"n": n}).rhs == _thm6_by_terms(n), n
         for display in (1, 2):
             case = check_identity("thm6-spec-q1", {"n": n, "display": display})
             assert case.rhs == _thm6_spec_q1_by_terms(n, display), (n, display)
+            case = check_identity("thm6-spec-q2", {"n": n, "display": display})
+            assert case.rhs == _thm6_spec_q2_by_terms(n, display), (n, display)
         for r in range(1, 9):
             assert check_identity("thm4", {"n": n, "r": r}).lhs == _thm4_by_terms(n, r), (n, r)
             assert check_identity("thm5", {"n": n, "r": r}).lhs == _thm5_by_terms(n, r), (n, r)
+            case = check_identity("thm4-schroeder", {"n": n, "r": r})
+            assert (case.lhs, case.rhs) == _thm4_schroeder_by_terms(n, r), (n, r)
+            case = check_identity("thm5-schroeder", {"n": n, "r": r})
+            assert case.lhs == _thm5_schroeder_by_terms(n, r), (n, r)
 
 
 def test_new_formula_and_convolutions_substitute_once(monkeypatch):
@@ -265,6 +341,8 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
         ("thm5", {"n": 9, "r": 7}, 1),
         ("thm6-spec-q1", {"n": 9, "display": 1}, 1),
         ("thm6-spec-q1", {"n": 9, "display": 2}, 1),
+        ("thm6-spec-q2", {"n": 9, "display": 1}, 1),
+        ("thm6-spec-q2", {"n": 9, "display": 2}, 1),
     ):
         calls.clear()
         assert check_identity(id, params).passed

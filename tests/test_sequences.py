@@ -84,6 +84,8 @@ def test_catalan_and_schroeder_values():
     assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
     assert [schroeder("small", n) for n in range(6)] == [1, 1, 3, 11, 45, 197]
     assert [schroeder("large", n) for n in range(6)] == [1, 2, 6, 22, 90, 394]
+    # The large number is q*C_n at q = 2, taken as 2*C_n(2).
+    assert all(schroeder("large", n) == large_narayana(n).eval(at_q=2) for n in range(31))
     with pytest.raises(ValueError):
         schroeder("medium", 3)
 
