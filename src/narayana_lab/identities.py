@@ -36,7 +36,7 @@ from .partitions import (
     iter_subsets,
     z_of,
 )
-from .poly import Coeff, PolyQQ, _as_poly
+from .poly import Coeff, PolyQQ, _as_poly, _sum_powers
 from .rationals import frac_binomial, gen_binomial
 from .sequences import (
     catalan,
@@ -105,6 +105,8 @@ class Identity:
     schedule: Callable[[int, random.Random], list[Params]]
     evaluate: Callable[[Params], tuple[PolyQQ | Coeff, PolyQQ | Coeff]]
     domain: dict[str, tuple[int | None, int | None]] = field(default_factory=dict)
+    # Parameters that may be a Fraction; every other one must be an int.
+    rational: tuple[str, ...] = ()
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -115,9 +117,10 @@ def _register(
     description: str,
     schedule: Callable[[int, random.Random], list[Params]],
     domain: dict[str, tuple[int | None, int | None]] | None = None,
+    rational: tuple[str, ...] = (),
 ):
     def deco(fn):
-        REGISTRY[id] = Identity(id, description, schedule, fn, domain or {})
+        REGISTRY[id] = Identity(id, description, schedule, fn, domain or {}, rational)
         return fn
 
     return deco
@@ -129,6 +132,9 @@ def check_identity(id: str, params: Params) -> IdentityCase:
         ident = REGISTRY[id]
     except KeyError:
         raise UnknownIdentityError(f"unknown identity id {id!r}") from None
+    for name, value in params.items():
+        if type(value) is not int and not (type(value) is Fraction and name in ident.rational):
+            raise ScheduleError(f"{id}: parameter {name}={value!r} is not an int")
     for name, (lo, hi) in ident.domain.items():
         if name not in params:
             raise ScheduleError(f"{id}: missing parameter {name!r}")
@@ -498,6 +504,7 @@ def _sched_rot(max_n: int, rng: random.Random) -> list[Params]:
     "signed split sum over ordered decompositions of a partition vanishes",
     _sched_rot,
     domain={"w": (1, None), "i": (0, None), "z": (None, None)},
+    rational=("z",),
 )
 def _rot(p: Params):
     w, i, z = p["w"], p["i"], Fraction(p["z"])
@@ -609,8 +616,8 @@ def _rothe(p: Params):
 def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
     """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
 
-    sum_k c_(k,m) * row_k[a] goes to exponent (m, a), so one
-    subst_q(base, q2=q) evaluates the whole sum.
+    The m-th column sum_k c_(k,m) * row_k(q) is a dense int row in q, and
+    one call of the column kernel sums column_m * base^m by Horner's rule.
     """
     rows = [(row.q_coefficients() if isinstance(row, PolyQQ) else [row], c) for row, c in terms]
     width = max(len(vals) for vals, _ in rows)
@@ -619,9 +626,7 @@ def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
         for col, cm in zip(table, coeffs):
             if cm:
                 col[:len(vals)] = [s + cm * t for s, t in zip(col, vals)]
-    return PolyQQ(
-        {(m, a): c for m, col in enumerate(table) for a, c in enumerate(col)}
-    ).subst_q(base, q2=_Q)
+    return _sum_powers(table, base)
 
 
 def _at_two(terms: _Terms, base: int) -> int:
@@ -1159,7 +1164,9 @@ def _param_json(v: int | Fraction):
 
 
 def _param_sort_key(params: Params):
-    return tuple((k, Fraction(v)) for k, v in sorted(params.items()))
+    # ints and Fractions compare exactly with each other, so no value needs
+    # converting.
+    return tuple(sorted(params.items()))
 
 
 def run_suite(

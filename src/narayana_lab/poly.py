@@ -290,13 +290,26 @@ class PolyQQ:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, at_q: Coeff = 0, at_q2: Coeff = 0) -> Coeff:
-        """Exact value at a rational point.
+        """Exact value at a rational point; TypeError for any other point.
 
-        The sum runs in ints: with x = xn/xd and q-exponents in [lo, hi], each
-        x^a is xn^(a-lo) * xd^(hi-a) over the shared xd^(hi-lo), times the
-        Laurent shift x^lo; likewise in q2.
+        At an integer point the sum is Horner's rule in ints (`_eval_int`):
+        one dense row per q2-degree, no powers, and a Fraction only if a
+        coefficient has a denominator.  Laurent and sparse polynomials, and
+        non-integer points, take the general route, also in ints: with
+        x = xn/xd and q-exponents in [lo, hi], each x^a is
+        xn^(a-lo) * xd^(hi-a) over the shared xd^(hi-lo), times the Laurent
+        shift x^lo; likewise in q2.
         """
         terms = self._terms
+        if type(at_q) is int and type(at_q2) is int:
+            if not terms:
+                return 0
+            value = _eval_int(terms, at_q, at_q2)
+            if value is not None:
+                return value
+        for point in (at_q, at_q2):
+            if not isinstance(point, (int, Fraction)):
+                raise TypeError(f"cannot use {type(point).__name__!r} as a rational point")
         if not terms:
             return 0
         nums, den = _numerators(terms)
@@ -327,6 +340,11 @@ class PolyQQ:
         one base, from_q_coefficients(c).subst_q(x).  Without q2, q2 stays as
         it is.  The exponents of a replaced variable must be >= 0.
 
+        Without q2, when neither self nor x has a q2-term, the sum is
+        sum_a c_a*x^a in one variable, and the column kernel `_sum_powers`
+        evaluates it with constant columns.  Every other case runs the
+        two-variable kernel below.
+
         The kernel runs on dense integer rows over one denominator.  self, x
         and y are scaled once to integer numerators (x = xn/dx, y = yn/dy).
         Every value is packed into one Laurent row in t by the ring map
@@ -352,8 +370,14 @@ class PolyQQ:
         b_exps = [b for _, b in nums]
         if min(a_exps) < 0 or (q2 is not None and min(b_exps) < 0):
             raise ValueError("substitution into a negative exponent")
-        xn, dx = _numerators(_as_poly(replacement)._terms)
+        x = _as_poly(replacement)
         a_top = max(a_exps)
+        if q2 is None and not any(b_exps) and not any(b for _, b in x._terms):
+            cols = [[0] for _ in range(a_top + 1)]
+            for (a, _), c in nums.items():
+                cols[a][0] = c
+            return _sum_powers(cols, x, d)
+        xn, dx = _numerators(x._terms)
         if q2 is None:
             windows = ((0, 0), (min(b_exps), max(b_exps)))
         else:
@@ -481,8 +505,9 @@ def _mul(u: _Row, v: _Row) -> _Row:
 def _add(u: _Row | None, v: _Row, c: int) -> _Row:
     """u + c*v, with None for a zero u.
 
-    u's list is updated in place when v fits inside it: every u the kernel
-    passes is a list it built itself, never x's, y's or a power's.
+    u's list is updated in place when v fits inside it: every u the kernels
+    pass is a list they built themselves, never x's, y's, a power's or a
+    caller's column.
     """
     sv, rv = v
     if u is None:
@@ -498,6 +523,65 @@ def _add(u: _Row | None, v: _Row, c: int) -> _Row:
     else:
         ru[i:i + len(rv)] = [s + c * t for s, t in zip(ru[i:i + len(rv)], rv)]
     return su, ru
+
+
+def _sum_powers(cols: list[list[int]], x: PolyQQ, d: int = 1) -> PolyQQ:
+    """sum_m cols[m](q) * x^m / d, for x free of q2: the column kernel.
+
+    cols[m] lists the int coefficients of q^0, q^1, ... of the m-th column
+    ([c] for a constant).  x is scaled once to integer numerators xn/dx, and
+    Horner's rule out = out*xn + cols[m]*dx^(K-m) runs from the top m = K
+    down, one _mul and one _add per step; one PolyQQ is built at the end,
+    over d*dx^K.  subst_q's one-variable path and the convolution identities
+    evaluate their sums here.
+    """
+    xn, dx = _numerators(x._terms)
+    x_row = _dense({a: c for (a, _), c in xn.items()})
+    out: _Row | None = None
+    scale = 1
+    for col in reversed(cols):
+        if out is not None:
+            out = _mul(out, x_row)
+            scale *= dx
+        out = _add(out, (0, col), scale)
+    if out is None:
+        return _ZERO
+    start, row = out
+    d *= scale
+    if d == 1:
+        return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
+    return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
+
+
+def _eval_int(terms: dict[ExpPair, Coeff], x: int, y: int) -> Coeff | None:
+    """The value at the integer point (x, y) by Horner's rule in ints.
+
+    One dense row per q2-degree is summed in x, then the rows in y.  None
+    when an exponent is negative or the rows hold more than twice as many
+    entries as there are terms: a sparse high-degree term costs one Horner
+    step per degree, so such input keeps eval's per-term powers.
+    """
+    nums, den = _numerators(terms)
+    a_top = b_top = 0
+    for a, b in nums:
+        if a < 0 or b < 0:
+            return None
+        if a > a_top:
+            a_top = a
+        if b > b_top:
+            b_top = b
+    if (a_top + 1) * (b_top + 1) > 2 * len(nums):
+        return None
+    rows = [[0] * (a_top + 1) for _ in range(b_top + 1)]
+    for (a, b), c in nums.items():
+        rows[b][a] = c
+    total = 0
+    for row in reversed(rows):
+        v = 0
+        for c in reversed(row):
+            v = v * x + c
+        total = total * y + v
+    return total if den == 1 else _quotient(total, den)
 
 
 def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from narayana_lab import identities
 from narayana_lab.identities import (
     REGISTRY,
     DEFAULT_SEED,
@@ -15,7 +17,7 @@ from narayana_lab.identities import (
     run_suite,
 )
 from narayana_lab.partitions import enumerate_partitions, z_of
-from narayana_lab.poly import PolyQQ
+from narayana_lab.poly import PolyQQ, _sum_powers as kernel
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.sequences import catalan, large_narayana, narayana, schroeder
 
@@ -86,6 +88,32 @@ def test_params_out_of_schedule():
         check_identity("lemma3-b", {"n": 2, "x1": 1, "x2": 2, "y1": 0})
     with pytest.raises(ScheduleError):
         check_identity("rot", {"w": 1, "i": 0, "z": 0})
+    # Every parameter is an int, but rot's z, which may be a Fraction.
+    with pytest.raises(ScheduleError):
+        check_identity("koshy", {"n": Fraction(5, 2)})
+    with pytest.raises(ScheduleError):
+        check_identity("rothe", {"n": 2, "x": Fraction(7, 2)})
+    with pytest.raises(ScheduleError):
+        check_identity("thm4", {"n": "3", "r": 2})
+    with pytest.raises(ScheduleError):
+        check_identity("rot", {"w": Fraction(1), "i": 0, "z": 1})
+    assert check_identity("rot", {"w": 2, "i": 0, "z": Fraction(1, 2)}).passed
+
+
+def test_report_order_needs_no_fraction_key():
+    # The sort key compares ints and rot's Fraction z as they are; the key that
+    # wrapped every value in a Fraction gives the same order.
+    results = list(run_suite(max_n=12).results)
+    assert any(type(v) is Fraction for case in results for v in case.params.values())
+    random.Random(5).shuffle(results)
+
+    def fraction_key(case):
+        return case.id, tuple((k, Fraction(v)) for k, v in sorted(case.params.items()))
+
+    def key(case):
+        return case.id, identities._param_sort_key(case.params)
+
+    assert [id(c) for c in sorted(results, key=fraction_key)] == [id(c) for c in sorted(results, key=key)]
 
 
 def test_max_n_floor():
@@ -320,20 +348,38 @@ def test_convolutions_equal_their_per_term_products():
             assert case.lhs == _thm5_schroeder_by_terms(n, r), (n, r)
 
 
+convolution = identities._convolution
+
+
 def test_new_formula_and_convolutions_substitute_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("new-formula enumerated partitions")
 
     monkeypatch.setattr("narayana_lab.identities.enumerate_partitions", refuse)
     monkeypatch.setattr("narayana_lab.identities.z_of", refuse)
+    # One call of the column kernel per sum, from _convolution or from
+    # subst_q's one-variable path.
     calls = []
-    subst_q = PolyQQ.subst_q
 
-    def counting(self, *args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return subst_q(self, *args, **kwargs)
+        return kernel(*args)
 
-    monkeypatch.setattr(PolyQQ, "subst_q", counting)
+    monkeypatch.setattr("narayana_lab.poly._sum_powers", counting)
+    monkeypatch.setattr("narayana_lab.identities._sum_powers", counting)
+
+    # _convolution hands its integer columns to the kernel: no PolyQQ
+    # product, power or substitution.
+    def no_product(*args):
+        raise AssertionError("_convolution used PolyQQ arithmetic")
+
+    def guarded(terms, base):
+        with monkeypatch.context() as m:
+            for name in ("__mul__", "__rmul__", "__pow__", "subst_q"):
+                m.setattr(PolyQQ, name, no_product)
+            return convolution(terms, base)
+
+    monkeypatch.setattr("narayana_lab.identities._convolution", guarded)
     for id, params, want in (
         ("new-formula", {"r": 9}, 1),
         ("thm3", {"n": 9}, 1),

@@ -104,6 +104,15 @@ def test_subst_q():
         PolyQQ.monomial(1, -1).subst_q(Q)
 
 
+def test_eval_refuses_a_non_rational_point():
+    for point in (1.5, "2", None):
+        for p in (Q**2 + 3 * Q2, PolyQQ.zero()):
+            with pytest.raises(TypeError, match="cannot use"):
+                p.eval(at_q=point)
+            with pytest.raises(TypeError, match="cannot use"):
+                p.eval(at_q=2, at_q2=point)
+
+
 def test_canonical_rendering():
     assert str(Q**3 + 6 * Q**2 + 6 * Q + 1) == "q^3 + 6*q^2 + 6*q + 1"
     assert str(4 * Q**2 - 20 * Q + 20) == "4*q^2 - 20*q + 20"

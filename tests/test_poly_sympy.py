@@ -2,9 +2,11 @@
 
 subst_q (with and without q2) against substitution, and its dense-row kernel
 on rows of degree up to 30 against PolyElement.compose in sympy's sparse
-ring; *, +, -, eval and divexact against sympy's expand, subs and cancel;
-jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det;
-TruncSeries.reverse by composing in sympy.
+ring; the column kernel _sum_powers against sums of powers in that ring;
+*, +, -, eval (and its integer-point Horner route) and divexact against
+sympy's expand, subs and cancel; jacobi11 against sympy.jacobi;
+det_fraction_free against Matrix.det; TruncSeries.reverse by composing in
+sympy.
 """
 
 import random
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.lambdaring import det_fraction_free
-from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ
+from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _eval_int, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
@@ -177,6 +179,69 @@ def test_eval_laurent_and_zero():
     assert type((Q * Fraction(1, 2)).eval(Fraction(4, 1))) is int
 
 
+def test_eval_integer_points_against_sympy():
+    rng = random.Random(37)
+    points = (0, 1, 2, -1, -3, 7)
+    dense = [random_row(rng, degree, rational, keep_q2=False) for degree in (0, 1, 9, 30) for rational in (False, True)]
+    dense += [
+        PolyQQ({
+            (a, b): random_coeff(rng, rational) or 1
+            for a in range(degree + 1)
+            for b in range(3)
+            if rng.random() < 0.8 or a == degree
+        })
+        for degree in (1, 6, 12)
+        for rational in (False, True)
+    ]
+    dense += [Q2 * 3 - 1, PolyQQ({(0, 2): Fraction(-1, 2), (1, 0): 4, (1, 1): 1, (0, 1): 2})]
+    # Laurent, or too sparse for Horner: the per-term powers.
+    general = [
+        PolyQQ({(-2, 0): 3, (1, 0): Fraction(1, 2), (0, -1): -1}),
+        random_row(rng, 9, True, keep_q2=True),
+        PolyQQ({(40, 0): 1, (0, 0): -5}),
+        PolyQQ({(0, 30): Fraction(2, 3), (3, 0): 1}),
+    ]
+    for p in dense + general:
+        sp = to_sympy(p)
+        for x in points:
+            for y in points:
+                if (x == 0 and p.min_deg_q() < 0) or (y == 0 and p.min_deg_q2() < 0):
+                    with pytest.raises(ZeroDivisionError):
+                        p.eval(x, y)
+                    continue
+                want = sp.subs({q: x, q2: y})
+                got = p.eval(x, y)
+                assert got == want, (p, x, y)
+                assert type(got) is int or got.denominator != 1
+                fast = _eval_int(dict(p.items()), x, y)
+                assert (fast is None) == (p in general), (p, x, y)
+                assert fast is None or fast == got
+    assert PolyQQ.zero().eval(-4, 5) == 0
+    assert type((Q * Fraction(1, 2)).eval(4)) is int
+
+
+def test_column_kernel_against_sympy():
+    rng = random.Random(53)
+    bases = [Q - 1, ONE - Q, Q * Fraction(2, 3) + Fraction(1, 4), PolyQQ.monomial(3, -1) + Q]
+    for i in range(24):
+        base = bases[i % len(bases)]
+        width = rng.randint(1, 25)
+        cols = [
+            [rng.randint(-10**6, 10**6) if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, width))]
+            for _ in range(rng.randint(1, 22))
+        ]
+        d = rng.choice((1, 1, 6, 35))
+        want = RING.zero
+        for m, col in enumerate(cols):
+            want += to_ring(PolyQQ.from_q_coefficients(col)) * to_ring(base) ** m
+        got = _sum_powers(cols, base, d)
+        assert isinstance(got, PolyQQ)
+        assert dict(got.items()) == ring_terms(want * sympy.QQ(1, d)), (cols, base, d)
+        assert_canonical(got)
+    assert _sum_powers([], Q - 1) == PolyQQ.zero()
+    assert _sum_powers([[0, 0], [0]], ONE - Q) == PolyQQ.zero()
+
+
 def sympy_value(x):
     return to_sympy(x) if isinstance(x, PolyQQ) else sympy.Integer(x)
 
@@ -244,8 +309,13 @@ def to_ring(p: PolyQQ | int | Fraction):
 def ring_subst(p: PolyQQ, x, y=None) -> dict:
     """Laurent terms of p(x, y) (p(x, q2) without y), by sympy's compose."""
     pairs = [(RQ, to_ring(x))] + ([] if y is None else [(RQ2, to_ring(y))])
+    return ring_terms(to_ring(p).compose(pairs))
+
+
+def ring_terms(element) -> dict:
+    """Laurent terms of a ring element, with qi and q2i folded into q and q2."""
     out: dict = {}
-    for (i, j, k, m), c in to_ring(p).compose(pairs).terms():
+    for (i, j, k, m), c in element.terms():
         key = (i - k, j - m)
         out[key] = out.get(key, 0) + Fraction(int(c.numerator), int(c.denominator))
     return {key: c for key, c in out.items() if c}
@@ -324,6 +394,7 @@ def test_subst_q_uses_no_polynomial_arithmetic(monkeypatch):
         (random_row(rng, 20, False, True), PolyQQ.monomial(1, -1, 1), None),
         (random_table(rng, 20, False), (Q - 1) * half, (Q + 1) * half),
         (random_table(rng, 12, True), Q2 - 1, PolyQQ.monomial(1, -1, 1)),
+        (random_row(rng, 25, True, False), ONE - Q, None),  # the column kernel
     ]
     expected = [ring_subst(p, x, y) for p, x, y in cases]
 
