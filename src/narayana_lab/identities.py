@@ -46,6 +46,7 @@ from .sequences import (
     narayana,
     narayana_hsequence,
     narayana_power_sum,
+    narayana_row,
     narayana_schur,
     schroeder,
     type_b_w,
@@ -56,20 +57,25 @@ SUITE_VERSION = "1"
 DEFAULT_SEED = 1
 
 DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
-# The largest documented run, about 5 s on one CPU; the grid identities
+# The largest documented run, about 3 s on one CPU; the grid identities
 # (thm4, thm5) grow steeply past it, and the whole suite takes about 15 s at 40.
 VERIFY_MAX_N_CAP = 30
+# Each parameter's upper bound is the largest value its schedule reaches at
+# VERIFY_MAX_N_CAP, so check_identity refuses any case past what verify runs.
+_CAP = VERIFY_MAX_N_CAP
 
 _Q = VALUE_Q
 _Q2 = VALUE_Q2
 _OMQ = VALUE_ONE_MINUS_Q
 _QM1 = _Q - 1
+_Q2M1 = _Q2 - 1
 _ONE = PolyQQ.one()
 
 Params = dict[str, "int | Fraction"]
 # Pairs (row_k, coefficients of I_k) of a sum over k of row_k * I_k, where a
-# row is a PolyQQ in q or an int.
-_Terms = list[tuple["PolyQQ | int", list[int]]]
+# row is the int coefficients of a polynomial in q (a tuple, for
+# _convolution) or its value at q = 2 (an int, for _at_two).
+_Terms = list[tuple["tuple[int, ...] | int", list[int]]]
 
 
 class UnknownIdentityError(ValueError):
@@ -104,7 +110,8 @@ class Identity:
     description: str
     schedule: Callable[[int, random.Random], list[Params]]
     evaluate: Callable[[Params], tuple[PolyQQ | Coeff, PolyQQ | Coeff]]
-    domain: dict[str, tuple[int | None, int | None]] = field(default_factory=dict)
+    # Bounds (lo, hi) per parameter; lo is None for a parameter unbounded below.
+    domain: dict[str, tuple[int | None, int]] = field(default_factory=dict)
     # Parameters that may be a Fraction; every other one must be an int.
     rational: tuple[str, ...] = ()
 
@@ -116,7 +123,7 @@ def _register(
     id: str,
     description: str,
     schedule: Callable[[int, random.Random], list[Params]],
-    domain: dict[str, tuple[int | None, int | None]] | None = None,
+    domain: dict[str, tuple[int | None, int]] | None = None,
     rational: tuple[str, ...] = (),
 ):
     def deco(fn):
@@ -141,7 +148,7 @@ def check_identity(id: str, params: Params) -> IdentityCase:
         value = params[name]
         if lo is not None and value < lo:
             raise ScheduleError(f"{id}: parameter {name}={value} below {lo}")
-        if hi is not None and value > hi:
+        if value > hi:
             raise ScheduleError(f"{id}: parameter {name}={value} above {hi}")
     lhs, rhs = ident.evaluate(params)
     return IdentityCase(id, dict(params), _as_poly(lhs), _as_poly(rhs))
@@ -221,7 +228,7 @@ def _sched_gf(max_n: int, rng: random.Random) -> list[Params]:
     "gf-quadratic",
     "u^k coefficients of q*u*C(u)^2 + (u*(1-q) - 1)*C(u) + 1 all vanish",
     _sched_gf,
-    domain={"order": (1, None), "k": (0, None)},
+    domain={"order": (1, _CAP), "k": (0, _CAP)},
 )
 def _gf_quadratic(p: Params):
     order, k = p["order"], p["k"]
@@ -234,7 +241,7 @@ def _gf_quadratic(p: Params):
     "vanishing-sum",
     "alternating sum of C(r+1,m)*C(2r-m,r) over m = 0..r vanishes",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _vanishing_sum(p: Params):
     r = p["r"]
@@ -253,7 +260,7 @@ def _sched_partial_sum(max_n: int, rng: random.Random) -> list[Params]:
     "partial-sum",
     "tail of the alternating binomial sum telescopes to one signed term",
     _sched_partial_sum,
-    domain={"r": (1, None), "k": (0, None)},
+    domain={"r": (1, _CAP), "k": (0, _CAP)},
 )
 def _partial_sum(p: Params):
     r, k = p["r"], p["k"]
@@ -273,7 +280,7 @@ def _sched_pairs_m_le_n(max_n: int, rng: random.Random) -> list[Params]:
     "interesting",
     "signed Catalan-binomial convolution collapses to C(m+n,2m)*Catalan(m)",
     _sched_pairs_m_le_n,
-    domain={"m": (0, None), "n": (0, None)},
+    domain={"m": (0, _CAP), "n": (0, _CAP)},
 )
 def _interesting(p: Params):
     m, n = p["m"], p["n"]
@@ -292,7 +299,7 @@ def _interesting(p: Params):
     "chu-vandermonde-variant",
     "signed double-binomial sum over i = m..n equals C(n,m)",
     _sched_pairs_m_le_n,
-    domain={"m": (0, None), "n": (0, None)},
+    domain={"m": (0, _CAP), "n": (0, _CAP)},
 )
 def _chu_vandermonde(p: Params):
     m, n = p["m"], p["n"]
@@ -307,7 +314,7 @@ def _chu_vandermonde(p: Params):
     "catalan-ratio",
     "(r+2)*Catalan(r+1) = 2*(2r+1)*Catalan(r)",
     _range_sched("r", 0),
-    domain={"r": (0, None)},
+    domain={"r": (0, _CAP)},
 )
 def _catalan_ratio(p: Params):
     r = p["r"]
@@ -318,7 +325,7 @@ def _catalan_ratio(p: Params):
     "touchard",
     "Catalan(r) as a power-of-two weighted sum of earlier Catalan numbers",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _touchard(p: Params):
     r = p["r"]
@@ -340,7 +347,7 @@ def _touchard(p: Params):
     "series route and double-binomial closed form of the principal one-row "
     "Hall-Littlewood value agree",
     _grid_sched(deep=False),
-    domain={"r": (1, None), "n": (1, None)},
+    domain={"r": (1, _CAP), "n": (1, _CAP)},
 )
 def _thm1(p: Params):
     r, n = p["r"], p["n"]
@@ -352,7 +359,7 @@ def _thm1(p: Params):
     "thm2",
     "(r+1) * C_r(1-q) equals the principal Hall-Littlewood value at r+1 ones",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _thm2(p: Params):
     r = p["r"]
@@ -374,7 +381,7 @@ def _sched_pieri(max_n: int, rng: random.Random) -> list[Params]:
     "pieri-hook",
     "h_a * e_b at a constant splits into the two adjacent hook Schur values",
     _sched_pieri,
-    domain={"a": (1, None), "b": (1, None), "c": (None, None)},
+    domain={"a": (1, 5), "b": (1, 5), "c": (None, 6)},
 )
 def _pieri_hook(p: Params):
     a, b, c = p["a"], p["b"], p["c"]
@@ -388,7 +395,7 @@ def _pieri_hook(p: Params):
     "new-formula",
     "q*C_r(q) as a centralizer-weighted sum over partitions of r",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _new_formula(p: Params):
     # The sum over partitions mu of r of w^(l(mu)-1)/z_mu * prod_i p_i^m_i, with
@@ -418,7 +425,7 @@ def _new_formula(p: Params):
     "odd-parts-schroeder",
     "small Schroeder number as a sum over partitions with all parts odd",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _odd_parts_schroeder(p: Params):
     r = p["r"]
@@ -450,7 +457,7 @@ def _sched_lagrange(max_n: int, rng: random.Random) -> list[Params]:
     "series reversion: (r+1)*h*_r[A] = h_r[-(r+1)A], and h*_r at q-1 "
     "reproduces q*C_r at 1-q",
     _sched_lagrange,
-    domain={"r": (1, None), "form": (0, 1)},
+    domain={"r": (1, 10), "form": (0, 1)},
 )
 def _lagrange_thm2(p: Params):
     r, form = p["r"], p["form"]
@@ -477,7 +484,7 @@ def _sched_lemma2(max_n: int, rng: random.Random) -> list[Params]:
     "lemma2",
     "sum of h_k[-(z+k)A] h_{n-k}[(z+k)A] / (z+k) over k = 0..n vanishes",
     _sched_lemma2,
-    domain={"n": (1, None), "z": (1, 3), "a": (0, len(ALPHABET_POOL) - 1)},
+    domain={"n": (1, 10), "z": (1, 3), "a": (0, len(ALPHABET_POOL) - 1)},
 )
 def _lemma2(p: Params):
     n, z, a = p["n"], p["z"], ALPHABET_POOL[p["a"]]
@@ -503,7 +510,8 @@ def _sched_rot(max_n: int, rng: random.Random) -> list[Params]:
     "rot",
     "signed split sum over ordered decompositions of a partition vanishes",
     _sched_rot,
-    domain={"w": (1, None), "i": (0, None), "z": (None, None)},
+    # i indexes the partitions of w: 11 at w = 6.
+    domain={"w": (1, 6), "i": (0, 10), "z": (None, 3)},
     rational=("z",),
 )
 def _rot(p: Params):
@@ -592,7 +600,7 @@ def _sched_rothe(max_n: int, rng: random.Random) -> list[Params]:
     "rothe",
     "self-dual convolution with weights x/(x-k) at y = -x",
     _sched_rothe,
-    domain={"n": (0, None), "x": (None, None)},
+    domain={"n": (0, _CAP), "x": (None, _CAP + 2)},
 )
 def _rothe(p: Params):
     n, x = p["n"], p["x"]
@@ -613,19 +621,24 @@ def _rothe(p: Params):
 # --------------------------------------------------------------------------
 
 
+def _large_row(n: int) -> tuple[int, ...]:
+    """The int coefficients of q*C_n(q), and (1,) at n = 0."""
+    return (0,) + narayana_row(n) if n else (1,)
+
+
 def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
     """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
 
-    The m-th column sum_k c_(k,m) * row_k(q) is a dense int row in q, and
-    one call of the column kernel sums column_m * base^m by Horner's rule.
+    Each row is a tuple of int coefficients in q ((c,) for a constant).  The
+    m-th column sum_k c_(k,m) * row_k(q) is a dense int row in q, and one
+    call of the column kernel sums column_m * base^m by Horner's rule.
     """
-    rows = [(row.q_coefficients() if isinstance(row, PolyQQ) else [row], c) for row, c in terms]
-    width = max(len(vals) for vals, _ in rows)
-    table = [[0] * width for _ in range(max(len(coeffs) for _, coeffs in rows))]
-    for vals, coeffs in rows:
+    width = max(len(row) for row, _ in terms)
+    table = [[0] * width for _ in range(max(len(coeffs) for _, coeffs in terms))]
+    for row, coeffs in terms:
         for col, cm in zip(table, coeffs):
             if cm:
-                col[:len(vals)] = [s + cm * t for s, t in zip(col, vals)]
+                col[:len(row)] = [s + cm * t for s, t in zip(col, row)]
     return _sum_powers(table, base)
 
 
@@ -638,7 +651,7 @@ def _at_two(terms: _Terms, base: int) -> int:
     "koshy",
     "Catalan numbers satisfy the alternating binomial recurrence",
     _range_sched("n", 1, deep=True),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _koshy(p: Params):
     n = p["n"]
@@ -650,18 +663,18 @@ def _koshy(p: Params):
 
 
 def _thm3_terms(n: int, large: Callable) -> _Terms:
-    """thm3's rhs: pairs (+-large(n-k), coefficients of I_k in q-1), k = 1..n.
+    """thm3's rhs: pairs (large(n-k), coefficients of I_k in q-1), k = 1..n.
 
-    large(j) is q*C_j(q) or its value.  With e = k-m-1, the paper's m-th term
-    (-1)^m*C(k-1,m)*C(n-m,k)*(1-q)^e is (-1)^(k-1)*C(k-1,e)*C(n-k+1+e,k)*(q-1)^e,
-    so the sign goes into the row.  At k = n only m = 0 is left, with row
-    large(0) = 1.
+    large(j) is the row of q*C_j(q) or its value.  With e = k-m-1, the paper's
+    m-th term (-1)^m*C(k-1,m)*C(n-m,k)*(1-q)^e is
+    (-1)^(k-1)*C(k-1,e)*C(n-k+1+e,k)*(q-1)^e, so the sign goes into the
+    coefficients.  At k = n only m = 0 is left, with row large(0) = 1.
     """
-    terms = [((-1) ** (n - 1), [0] * (n - 1) + [1])]
+    terms = [(large(0), [0] * (n - 1) + [(-1) ** (n - 1)])]
     for k in range(1, n):
-        row = large(n - k)
-        coeffs = [math.comb(k - 1, e) * math.comb(n - k + 1 + e, k) for e in range(k)]
-        terms.append((row if k % 2 else -row, coeffs))
+        sign = 1 if k % 2 else -1
+        coeffs = [sign * math.comb(k - 1, e) * math.comb(n - k + 1 + e, k) for e in range(k)]
+        terms.append((large(n - k), coeffs))
     return terms
 
 
@@ -669,18 +682,18 @@ def _thm3_terms(n: int, large: Callable) -> _Terms:
     "thm3",
     "Narayana polynomials satisfy the alternating (1-q)-weighted recurrence",
     _range_sched("n", 1, deep=True),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _thm3(p: Params):
     n = p["n"]
-    return narayana(n), _convolution(_thm3_terms(n, large_narayana), _QM1)
+    return narayana(n), _convolution(_thm3_terms(n, _large_row), _QM1)
 
 
 @_register(
     "thm3-schroeder",
     "small Schroeder numbers satisfy the signed binomial recurrence",
     _range_sched("n", 1, deep=True),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _thm3_schroeder(p: Params):
     n = p["n"]
@@ -709,7 +722,7 @@ def _sched_lemma4(max_n: int, rng: random.Random) -> list[Params]:
     "to h_n[B]",
     _sched_lemma4,
     domain={
-        "n": (1, None),
+        "n": (1, 10),
         "z": (1, 3),
         "a": (0, len(ALPHABET_POOL) - 1),
         "b": (0, len(ALPHABET_POOL) - 1),
@@ -729,7 +742,7 @@ def _lemma4(p: Params):
     "jonah",
     "binomial convolution of Catalan numbers equals C(n+1,r)",
     _grid_sched(lo_n=0, lo_r=0),
-    domain={"n": (0, None), "r": (0, None)},
+    domain={"n": (0, _CAP), "r": (0, _CAP)},
 )
 def _jonah(p: Params):
     n, r = p["n"], p["r"]
@@ -743,7 +756,7 @@ def _jonah(p: Params):
     "jonah-alt",
     "binomial convolution of Catalan numbers from k = 1 equals C(n,r-1)",
     _grid_sched(lo_n=0),
-    domain={"n": (0, None), "r": (1, None)},
+    domain={"n": (0, _CAP), "r": (1, _CAP)},
 )
 def _jonah_alt(p: Params):
     n, r = p["n"], p["r"]
@@ -755,8 +768,8 @@ def _jonah_alt(p: Params):
 
 def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Terms, list[int]]:
     """thm4's lhs as pairs (row, coefficients of I_k in q-1), and its rhs's
-    coefficients in q-1.  The rows are small(r) = C_r(q), then large(r-k) =
-    q*C_(r-k)(q) for k = 1..r-1, or their values."""
+    coefficients in q-1.  The rows are small(r), the row of C_r(q), then
+    large(r-k), that of q*C_(r-k)(q) for k = 1..r-1, or their values."""
     # The tops n-2r+2k-m and n-m can be negative; the others cannot.
     lhs = [(small(r), [1])]
     for k in range(1, r):
@@ -770,10 +783,10 @@ def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Term
     "Narayana analogue of the Catalan convolution: weighted double-binomial "
     "sums agree for all n, r",
     _grid_sched(),
-    domain={"n": (1, None), "r": (1, None)},
+    domain={"n": (1, _CAP), "r": (1, _CAP)},
 )
 def _thm4(p: Params):
-    lhs, rhs = _thm4_sides(p["n"], p["r"], narayana, large_narayana)
+    lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, _large_row)
     return _convolution(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
 
 
@@ -781,7 +794,7 @@ def _thm4(p: Params):
     "thm4-schroeder",
     "small-Schroeder corollary (q = 2) of the weighted convolution",
     _grid_sched(),
-    domain={"n": (1, None), "r": (1, None)},
+    domain={"n": (1, _CAP), "r": (1, _CAP)},
 )
 def _thm4_schroeder(p: Params):
     small, large = partial(schroeder, "small"), partial(schroeder, "large")
@@ -790,7 +803,7 @@ def _thm4_schroeder(p: Params):
 
 
 def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
-    """thm5's lhs: pairs (large(k) = q*C_k(q) or its value, coefficients of I_k in 1-q)."""
+    """thm5's lhs: pairs (large(k), the row of q*C_k(q) or its value, coefficients of I_k in 1-q)."""
     return [
         (
             large(k),
@@ -804,18 +817,18 @@ def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
     "thm5",
     "large-Narayana convolution with (1-q)-weighted binomials equals C(n+1,r)",
     _grid_sched(),
-    domain={"n": (1, None), "r": (1, None)},
+    domain={"n": (1, _CAP), "r": (1, _CAP)},
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
-    return _convolution(_thm5_terms(n, r, large_narayana), _OMQ), gen_binomial(n + 1, r)
+    return _convolution(_thm5_terms(n, r, _large_row), _OMQ), gen_binomial(n + 1, r)
 
 
 @_register(
     "thm5-schroeder",
     "large-Schroeder corollary (q = 2) of the large-Narayana convolution",
     _grid_sched(),
-    domain={"n": (1, None), "r": (1, None)},
+    domain={"n": (1, _CAP), "r": (1, _CAP)},
 )
 def _thm5_schroeder(p: Params):
     n, r = p["n"], p["r"]
@@ -838,19 +851,26 @@ def _thm6_coeff(n: int, k: int, i: int, j: int) -> int:
     "bivariate transition: (n+1) q'*C_n(q') expands over q*C_k(q) with "
     "(1-q), (q'-1) weights",
     _range_sched("n", 1),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _thm6(p: Params):
-    # T_k(1-q, q'-1) is a polynomial in q and q', and q*C_(n-k) one in q: the
-    # sum has three exponents, so each k takes its own substitution and product.
+    # Grouped by the power of y = q'-1, the sum is sum_j y^j * A_j(q), where
+    # A_j = sum_k q*C_(n-k)(q) * sum_i t_ij * (1-q)^i is one convolution over
+    # T_k's slice j.  A_j's coefficient of q^a goes at exponents (a, j), and
+    # one substitution q2 -> q'-1 gives the rhs.  The lhs (n+1)*q'*C_n(q')
+    # is the row of q*C_n put at q2-exponents.
     n = p["n"]
-    lhs = large_narayana(n).subst_q(_Q2) * (n + 1)
-    rhs = PolyQQ.zero()
-    for k in range(n + 1):
-        rhs = rhs + large_narayana(n - k) * PolyQQ(
-            {(i, j): _thm6_coeff(n, k, i, j) for i in range(k + 1) for j in range(k + 1 - i)}
-        ).subst_q(_OMQ, q2=_Q2 - 1)
-    return lhs, rhs
+    rows = [_large_row(n - k) for k in range(n + 1)]
+    lhs = PolyQQ({(0, a): (n + 1) * c for a, c in enumerate(rows[0])})
+    slices: dict[tuple[int, int], int] = {}
+    for j in range(n + 1):
+        terms = [
+            (rows[k], [_thm6_coeff(n, k, i, j) for i in range(k + 1 - j)])
+            for k in range(j, n + 1)
+        ]
+        for (a, _), c in _convolution(terms, _OMQ).items():
+            slices[(a, j)] = c
+    return lhs, PolyQQ(slices).subst_q(_Q, q2=_Q2M1)
 
 
 def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
@@ -863,20 +883,20 @@ def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
     "thm6-spec-q1",
     "transition specialized at 1: Catalan against large-Narayana expansions",
     _sched_two_displays,
-    domain={"n": (1, None), "display": (1, 2)},
+    domain={"n": (1, _CAP), "display": (1, 2)},
 )
 def _thm6_spec_q1(p: Params):
     n, display = p["n"], p["display"]
     if display == 1:
         # q = 1, so x = 0: T_k's slice i = 0, in y = q'-1 with q' written q.
         terms = [
-            (catalan(n - k), [_thm6_coeff(n, k, 0, j) for j in range(k + 1)])
+            ((catalan(n - k),), [_thm6_coeff(n, k, 0, j) for j in range(k + 1)])
             for k in range(n + 1)
         ]
         return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
     # q' = 1, so y = 0: T_k's slice j = 0, in x = 1-q.
     terms = [
-        (large_narayana(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
+        (_large_row(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
         for k in range(n + 1)
     ]
     return (n + 1) * catalan(n), _convolution(terms, _OMQ)
@@ -886,7 +906,7 @@ def _thm6_spec_q1(p: Params):
     "thm6-spec-q2",
     "transition specialized at 2: large Schroeder against large-Narayana",
     _sched_two_displays,
-    domain={"n": (1, None), "display": (1, 2)},
+    domain={"n": (1, _CAP), "display": (1, 2)},
 )
 def _thm6_spec_q2(p: Params):
     n, display = p["n"], p["display"]
@@ -894,7 +914,7 @@ def _thm6_spec_q2(p: Params):
         # q = 2, so x = -1: T_k's signed column sums, in y = q'-1 with q' written q.
         terms = [
             (
-                schroeder("large", n - k),
+                (schroeder("large", n - k),),
                 [sum((-1) ** i * _thm6_coeff(n, k, i, j) for i in range(k + 1 - j)) for j in range(k + 1)],
             )
             for k in range(n + 1)
@@ -903,7 +923,7 @@ def _thm6_spec_q2(p: Params):
     # q' = 2, so y = 1: T_k's row sums, in x = 1-q.
     terms = [
         (
-            large_narayana(n - k),
+            _large_row(n - k),
             [sum(_thm6_coeff(n, k, i, j) for j in range(k + 1 - i)) for i in range(k + 1)],
         )
         for k in range(n + 1)
@@ -962,7 +982,7 @@ def _cf_alternating(p: Params):
     "thm8",
     "closed form of the Narayana power sums matches the Newton extraction",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _thm8(p: Params):
     r = p["r"]
@@ -973,7 +993,7 @@ def _thm8(p: Params):
     "pa1-central",
     "power sums of the Catalan alphabet are central binomials C(2r-1,r-1)",
     _range_sched("r", 1),
-    domain={"r": (1, None)},
+    domain={"r": (1, _CAP)},
 )
 def _pa1_central(p: Params):
     r = p["r"]
@@ -984,7 +1004,7 @@ def _pa1_central(p: Params):
     "newton-catalan",
     "Newton recurrence at the Catalan alphabet collapses to C(2n,n-1)",
     _sched_two_displays,
-    domain={"n": (1, None), "display": (1, 2)},
+    domain={"n": (1, _CAP), "display": (1, 2)},
 )
 def _newton_catalan(p: Params):
     n, display = p["n"], p["display"]
@@ -1013,7 +1033,7 @@ def _sched_bridge(max_n: int, rng: random.Random) -> list[Params]:
     "C_n at a point x is ((x-1)^(n-1)/n) times the Jacobi (1,1) value at "
     "(x+1)/(x-1); n+1 points pin the degree-(n-1) polynomials",
     _sched_bridge,
-    domain={"n": (1, None), "x": (2, None)},
+    domain={"n": (1, _CAP), "x": (2, _CAP + 2)},
 )
 def _jacobi_bridge(p: Params):
     n, x = p["n"], p["x"]
@@ -1029,7 +1049,7 @@ def _jacobi_bridge(p: Params):
     "n * P_n(1^{n+1};q) equals (n+1)(-q)^(n-1) times the Jacobi (1,1) value "
     "at 1 - 2/q, as Laurent polynomials",
     _range_sched("n", 1),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _hl_jacobi(p: Params):
     n = p["n"]
@@ -1043,7 +1063,7 @@ def _hl_jacobi(p: Params):
     "jacobi-binomial",
     "the two binomial expansions behind the Jacobi bridge agree termwise",
     _range_sched("n", 1),
-    domain={"n": (1, None)},
+    domain={"n": (1, _CAP)},
 )
 def _jacobi_binomial(p: Params):
     n = p["n"]
@@ -1060,7 +1080,7 @@ def _jacobi_binomial(p: Params):
     "typeB-central",
     "type-B polynomial as a central-binomial expansion in z and z+1",
     _range_sched("r", 0),
-    domain={"r": (0, None)},
+    domain={"r": (0, _CAP)},
 )
 def _type_b_central(p: Params):
     r = p["r"]

@@ -276,19 +276,18 @@ class HSequence:
     """
 
     def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff]):
+        # h is read straight from h_fn, so a costly h_fn memoizes itself
+        # (narayana and catalan each keep a bounded lru_cache).
         self._h_fn = h_fn
-        self._h_cache: dict[int, PolyQQ] = {}
         self._p_cache: dict[int, PolyQQ] = {}
 
     def h(self, n: int) -> PolyQQ:
         if n < 0:
             raise ValueError("h index must be nonnegative")
-        if n not in self._h_cache:
-            value = _as_poly(self._h_fn(n))
-            if n == 0 and value != PolyQQ.one():
-                raise ValueError("an h-sequence must start with h_0 = 1")
-            self._h_cache[n] = value
-        return self._h_cache[n]
+        value = _as_poly(self._h_fn(n))
+        if n == 0 and value != PolyQQ.one():
+            raise ValueError("an h-sequence must start with h_0 = 1")
+        return value
 
     def p(self, n: int) -> PolyQQ:
         if n < 1:

@@ -14,11 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
+from math import comb
 
 from .lambdaring import HSequence
 from .partitions import Partition
 from .poly import PolyQQ
-from .rationals import exact_div, gen_binomial
+from .rationals import gen_binomial
 
 CLOSED_FORM_VARIANTS = ("eqde", "eqtr", "eqqu", "eqci", "eqsi")
 
@@ -30,19 +31,24 @@ _ONE = PolyQQ.one()
 
 
 @lru_cache(maxsize=256)
-def narayana(n: int) -> PolyQQ:
-    """The n-th Narayana polynomial C_n(q), from the Narayana numbers N(n,k).
+def narayana_row(n: int) -> tuple[int, ...]:
+    """The int coefficients of q^0, q^1, ... of C_n(q): the Narayana numbers
+    N(n,1), ..., N(n,n), and (1,) at n = 0.
 
-    Memoized for the 256 most recent n, above the 201 rows of the CLI's
-    largest table.
+    The one per-n memo that narayana, catalan and schroeder read, for the
+    256 most recent n, above the 201 rows of the CLI's largest table.
     """
     if n < 0:
         raise ValueError("narayana index must be nonnegative")
     if n == 0:
-        return _ONE
-    return PolyQQ.from_q_coefficients(
-        [exact_div(gen_binomial(n, k - 1) * gen_binomial(n, k), n) for k in range(1, n + 1)]
-    )
+        return (1,)
+    return tuple(comb(n, k - 1) * comb(n, k) // n for k in range(1, n + 1))
+
+
+@lru_cache(maxsize=256)
+def narayana(n: int) -> PolyQQ:
+    """The n-th Narayana polynomial C_n(q), from the Narayana numbers N(n,k)."""
+    return PolyQQ.from_q_coefficients(narayana_row(n))
 
 
 def large_narayana(n: int) -> PolyQQ:
@@ -52,17 +58,27 @@ def large_narayana(n: int) -> PolyQQ:
     return PolyQQ({(a + 1, b): c for (a, b), c in narayana(n).items()})
 
 
+@lru_cache(maxsize=256)
 def catalan(n: int) -> int:
-    """Catalan number, as the q = 1 value of the Narayana polynomial."""
-    return narayana(n).eval(at_q=1)
+    """Catalan number, as the q = 1 value of the Narayana polynomial: its row sum."""
+    return sum(narayana_row(n))
+
+
+@lru_cache(maxsize=256)
+def _small_schroeder(n: int) -> int:
+    """C_n(2), by Horner's rule on the row."""
+    value = 0
+    for c in reversed(narayana_row(n)):
+        value = 2 * value + c
+    return value
 
 
 def schroeder(kind: str, n: int) -> int:
     """Schroeder numbers as q = 2 values: 'small' of C_n, 'large' of q*C_n (2*C_n(2), 1 at 0)."""
     if kind == "small":
-        return narayana(n).eval(at_q=2)
+        return _small_schroeder(n)
     if kind == "large":
-        return 2 * narayana(n).eval(at_q=2) if n else 1
+        return 2 * _small_schroeder(n) if n else 1
     raise ValueError(f"unknown Schroeder kind {kind!r}")
 
 
@@ -187,8 +203,12 @@ def narayana_schur(mu: Partition) -> PolyQQ:
     return narayana_hsequence().schur(mu)
 
 
+@lru_cache(maxsize=256)
 def jacobi11(n: int) -> PolyQQ:
-    """Degree-n Jacobi polynomial with both parameters 1, in q as the argument."""
+    """Degree-n Jacobi polynomial with both parameters 1, in q as the argument.
+
+    Memoized for the 256 most recent n: jacobi-bridge reads one per point.
+    """
     if n < 0:
         raise ValueError("jacobi11 index must be nonnegative")
     half = Fraction(1, 2)

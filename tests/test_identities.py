@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from narayana_lab import identities
+from narayana_lab import identities, sequences
 from narayana_lab.identities import (
     REGISTRY,
     DEFAULT_SEED,
@@ -98,6 +98,22 @@ def test_params_out_of_schedule():
     with pytest.raises(ScheduleError):
         check_identity("rot", {"w": Fraction(1), "i": 0, "z": 1})
     assert check_identity("rot", {"w": 2, "i": 0, "z": Fraction(1, 2)}).passed
+    # Past the largest value a schedule reaches at VERIFY_MAX_N_CAP, refused
+    # before any work (thm6 at n = 120 takes seconds).
+    with pytest.raises(ScheduleError, match="above"):
+        check_identity("thm6", {"n": 120})
+    with pytest.raises(ScheduleError, match="above"):
+        check_identity("thm4", {"n": 31, "r": 2})
+
+
+def test_schedules_at_the_cap_stay_inside_their_domains():
+    # No case that `verify` schedules is refused by check_identity's bounds.
+    for id, ident in REGISTRY.items():
+        for seed in (DEFAULT_SEED, 2, 3):
+            for params in ident.schedule(VERIFY_MAX_N_CAP, random.Random(f"{seed}:{id}")):
+                for name, (lo, hi) in ident.domain.items():
+                    value = params[name]
+                    assert (lo is None or lo <= value) and value <= hi, (id, params, name)
 
 
 def test_report_order_needs_no_fraction_key():
@@ -349,6 +365,7 @@ def test_convolutions_equal_their_per_term_products():
 
 
 convolution = identities._convolution
+subst = PolyQQ.subst_q
 
 
 def test_new_formula_and_convolutions_substitute_once(monkeypatch):
@@ -393,3 +410,65 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
         calls.clear()
         assert check_identity(id, params).passed
         assert len(calls) == want, (id, params)
+
+    # thm6: one convolution per power of q'-1, then one two-variable
+    # substitution, and no PolyQQ product anywhere in the case.
+    substs = []
+
+    def counting_subst(self, x, q2=None):
+        substs.append(q2)
+        return subst(self, x, q2)
+
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(PolyQQ, "subst_q", counting_subst)
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            m.setattr(PolyQQ, name, no_product)
+        assert check_identity("thm6", {"n": 9}).passed
+    assert len(calls) == 10
+    assert len(substs) == 1 and substs[0] is not None
+
+
+def test_convolution_cases_read_int_rows(monkeypatch):
+    # The rows and their q = 1, 2 values come from the memoized int rows of
+    # sequences: no PolyQQ is evaluated or converted to a list.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a convolution case evaluated or listed a PolyQQ")
+
+    for fn in (sequences.narayana_row, sequences.narayana, sequences.catalan, sequences._small_schroeder):
+        fn.cache_clear()
+    monkeypatch.setattr(PolyQQ, "eval", refuse)
+    monkeypatch.setattr(PolyQQ, "q_coefficients", refuse)
+    for id in ("thm3", "thm3-schroeder", "thm6"):
+        assert check_identity(id, {"n": 9}).passed, id
+    for id in ("thm4", "thm4-schroeder", "thm5", "thm5-schroeder"):
+        assert check_identity(id, {"n": 9, "r": 7}).passed, id
+    for id in ("thm6-spec-q1", "thm6-spec-q2"):
+        for display in (1, 2):
+            assert check_identity(id, {"n": 9, "display": display}).passed, (id, display)
+
+
+def test_thm6_against_sympy():
+    # thm6's rhs against sympy's expansion of sum_k q*C_(n-k)(q)*T_k(1-q, q'-1),
+    # with q*C_m from sympy's binomials and t_ij from _thm6_coeff.
+    sympy = pytest.importorskip("sympy")
+    q, q2 = sympy.symbols("q q2")
+
+    def large(m, x):
+        # q*C_m at x, from the Narayana numbers N(m,k) = C(m,k-1)*C(m,k)/m.
+        if m == 0:
+            return sympy.Integer(1)
+        return sum(sympy.binomial(m, k - 1) * sympy.binomial(m, k) / m * x**k for k in range(1, m + 1))
+
+    for n in range(1, 7):
+        expected = sum(
+            large(n - k, q) * identities._thm6_coeff(n, k, i, j) * (1 - q) ** i * (q2 - 1) ** j
+            for k in range(n + 1)
+            for i in range(k + 1)
+            for j in range(k + 1 - i)
+        )
+        case = check_identity("thm6", {"n": n})
+        rhs = sum(c * q**a * q2**b for (a, b), c in case.rhs.items())
+        assert sympy.expand(rhs - expected) == 0, n
+        lhs = sum(c * q**a * q2**b for (a, b), c in case.lhs.items())
+        assert sympy.expand(lhs - (n + 1) * large(n, q2)) == 0, n

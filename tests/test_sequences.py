@@ -1,7 +1,11 @@
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import narayana_lab
 from narayana_lab.lambdaring import hall_littlewood_principal
 from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
@@ -17,6 +21,7 @@ from narayana_lab.sequences import (
     narayana_closed,
     narayana_hsequence,
     narayana_power_sum,
+    narayana_row,
     narayana_schur,
     schroeder,
     type_b_w,
@@ -44,7 +49,33 @@ def test_golden_first_five():
 def test_narayana_memo_is_bounded():
     # One bounded memo of the rows, large enough for `table --max-n 200`.
     assert narayana.cache_info().maxsize == 256
+    assert narayana_row.cache_info().maxsize == 256
     assert narayana(200) is narayana(200)
+    assert narayana(200).q_coefficients() == list(narayana_row(200))
+
+
+def test_every_memo_in_the_package_is_bounded():
+    # Only the two zero-argument alphabet singletons use an unbounded cache.
+    singletons = {"narayana_hsequence", "catalan_hsequence"}
+    memos = {}
+    for info in pkgutil.iter_modules(narayana_lab.__path__):
+        module = importlib.import_module(f"narayana_lab.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                if hasattr(fn, "cache_info") and not isinstance(fn, type):
+                    memos[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    assert {"narayana_lab.sequences.narayana_row", "narayana_lab.sequences.catalan",
+            "narayana_lab.sequences.jacobi11", "narayana_lab.lambdaring.h_of"} <= set(memos)
+    for name, fn in memos.items():
+        if fn.__name__ in singletons:
+            assert not inspect.signature(fn).parameters, name
+        else:
+            assert fn.cache_info().maxsize is not None, name
+    # HSequence keeps no h table of its own: h reads these memos.
+    for hseq in (narayana_hsequence(), catalan_hsequence()):
+        assert hseq._h_fn.cache_info().maxsize is not None
+    assert narayana_hsequence().h(7) is narayana(7)
 
 
 def second_recurrence(n: int) -> PolyQQ:
