@@ -33,7 +33,7 @@ from .partitions import (
     z_of,
 )
 from .poly import PolyQQ
-from .rationals import BigRational, gen_binomial
+from .rationals import gen_binomial
 from .sequences import (
     catalan,
     jacobi11,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BigRational",
     "HSequence",
     "IdentityCase",
     "Partition",

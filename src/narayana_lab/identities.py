@@ -43,6 +43,7 @@ from .sequences import (
     catalan_hsequence,
     jacobi11,
     large_narayana,
+    large_narayana_row,
     narayana,
     narayana_hsequence,
     narayana_power_sum,
@@ -621,11 +622,6 @@ def _rothe(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _large_row(n: int) -> tuple[int, ...]:
-    """The int coefficients of q*C_n(q), and (1,) at n = 0."""
-    return (0,) + narayana_row(n) if n else (1,)
-
-
 def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
     """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
 
@@ -686,7 +682,7 @@ def _thm3_terms(n: int, large: Callable) -> _Terms:
 )
 def _thm3(p: Params):
     n = p["n"]
-    return narayana(n), _convolution(_thm3_terms(n, _large_row), _QM1)
+    return narayana(n), _convolution(_thm3_terms(n, large_narayana_row), _QM1)
 
 
 @_register(
@@ -786,7 +782,7 @@ def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Term
     domain={"n": (1, _CAP), "r": (1, _CAP)},
 )
 def _thm4(p: Params):
-    lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, _large_row)
+    lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, large_narayana_row)
     return _convolution(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
 
 
@@ -821,7 +817,7 @@ def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
-    return _convolution(_thm5_terms(n, r, _large_row), _OMQ), gen_binomial(n + 1, r)
+    return _convolution(_thm5_terms(n, r, large_narayana_row), _OMQ), gen_binomial(n + 1, r)
 
 
 @_register(
@@ -860,7 +856,7 @@ def _thm6(p: Params):
     # one substitution q2 -> q'-1 gives the rhs.  The lhs (n+1)*q'*C_n(q')
     # is the row of q*C_n put at q2-exponents.
     n = p["n"]
-    rows = [_large_row(n - k) for k in range(n + 1)]
+    rows = [large_narayana_row(n - k) for k in range(n + 1)]
     lhs = PolyQQ({(0, a): (n + 1) * c for a, c in enumerate(rows[0])})
     slices: dict[tuple[int, int], int] = {}
     for j in range(n + 1):
@@ -896,7 +892,7 @@ def _thm6_spec_q1(p: Params):
         return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
     # q' = 1, so y = 0: T_k's slice j = 0, in x = 1-q.
     terms = [
-        (_large_row(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
+        (large_narayana_row(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
         for k in range(n + 1)
     ]
     return (n + 1) * catalan(n), _convolution(terms, _OMQ)
@@ -923,7 +919,7 @@ def _thm6_spec_q2(p: Params):
     # q' = 2, so y = 1: T_k's row sums, in x = 1-q.
     terms = [
         (
-            _large_row(n - k),
+            large_narayana_row(n - k),
             [sum(_thm6_coeff(n, k, i, j) for j in range(k + 1 - i)) for i in range(k + 1)],
         )
         for k in range(n + 1)

@@ -303,9 +303,6 @@ class HSequence:
     def schur(self, mu: Partition) -> PolyQQ:
         return jacobi_trudi(self.h, mu)
 
-    def series(self, order: int) -> TruncSeries:
-        return TruncSeries([self.h(k) for k in range(order + 1)], order=order)
-
 
 def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
     """Coefficients c_1..c_depth of the continued fraction 1/(1 - c_1 u/(1 - ...)).
@@ -316,7 +313,7 @@ def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    f = hseq.series(depth + 1)
+    f = TruncSeries([hseq.h(k) for k in range(depth + 2)], order=depth + 1)
     coeffs: list[PolyQQ] = []
     for _ in range(depth):
         g = TruncSeries.one(f.order) - f.inverse()

@@ -292,21 +292,13 @@ class PolyQQ:
     def eval(self, at_q: Coeff = 0, at_q2: Coeff = 0) -> Coeff:
         """Exact value at a rational point; TypeError for any other point.
 
-        At an integer point the sum is Horner's rule in ints (`_eval_int`):
-        one dense row per q2-degree, no powers, and a Fraction only if a
-        coefficient has a denominator.  Laurent and sparse polynomials, and
-        non-integer points, take the general route, also in ints: with
+        The terms are summed in ints over one shared denominator: with
         x = xn/xd and q-exponents in [lo, hi], each x^a is
-        xn^(a-lo) * xd^(hi-a) over the shared xd^(hi-lo), times the Laurent
-        shift x^lo; likewise in q2.
+        xn^(a-lo) * xd^(hi-a) over xd^(hi-lo), times the Laurent shift x^lo;
+        likewise in q2.  The cost follows the number of terms, not the
+        exponent window.
         """
         terms = self._terms
-        if type(at_q) is int and type(at_q2) is int:
-            if not terms:
-                return 0
-            value = _eval_int(terms, at_q, at_q2)
-            if value is not None:
-                return value
         for point in (at_q, at_q2):
             if not isinstance(point, (int, Fraction)):
                 raise TypeError(f"cannot use {type(point).__name__!r} as a rational point")
@@ -551,37 +543,6 @@ def _sum_powers(cols: list[list[int]], x: PolyQQ, d: int = 1) -> PolyQQ:
     if d == 1:
         return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
-
-
-def _eval_int(terms: dict[ExpPair, Coeff], x: int, y: int) -> Coeff | None:
-    """The value at the integer point (x, y) by Horner's rule in ints.
-
-    One dense row per q2-degree is summed in x, then the rows in y.  None
-    when an exponent is negative or the rows hold more than twice as many
-    entries as there are terms: a sparse high-degree term costs one Horner
-    step per degree, so such input keeps eval's per-term powers.
-    """
-    nums, den = _numerators(terms)
-    a_top = b_top = 0
-    for a, b in nums:
-        if a < 0 or b < 0:
-            return None
-        if a > a_top:
-            a_top = a
-        if b > b_top:
-            b_top = b
-    if (a_top + 1) * (b_top + 1) > 2 * len(nums):
-        return None
-    rows = [[0] * (a_top + 1) for _ in range(b_top + 1)]
-    for (a, b), c in nums.items():
-        rows[b][a] = c
-    total = 0
-    for row in reversed(rows):
-        v = 0
-        for c in reversed(row):
-            v = v * x + c
-        total = total * y + v
-    return total if den == 1 else _quotient(total, den)
 
 
 def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:

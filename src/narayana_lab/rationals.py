@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and binomial coefficients.
 
-Every division in this package is either rational (via :data:`BigRational`) or
-a checked exact integer division; no floating point is used anywhere.
+Every division in this package is either rational (a ``fractions.Fraction``)
+or a checked exact integer division; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -9,9 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-# Arbitrary-precision rational scalar. Python's Fraction already guarantees
-# the invariants we rely on: lowest terms, positive denominator, 0 == 0/1.
-BigRational = Fraction
 
 def gen_binomial(a: int, k: int) -> int:
     """Binomial coefficient with an arbitrary integer top.
@@ -28,11 +25,11 @@ def gen_binomial(a: int, k: int) -> int:
     return comb(k - a - 1, k) if k % 2 == 0 else -comb(k - a - 1, k)
 
 
-def frac_binomial(a: int | BigRational, k: int) -> BigRational:
+def frac_binomial(a: int | Fraction, k: int) -> Fraction:
     """Binomial coefficient whose top may be any exact rational."""
     if k < 0:
-        return BigRational(0)
-    num = BigRational(1)
+        return Fraction(0)
+    num = Fraction(1)
     for i in range(k):
         num *= a - i
     return num / factorial(k)

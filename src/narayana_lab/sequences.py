@@ -35,8 +35,9 @@ def narayana_row(n: int) -> tuple[int, ...]:
     """The int coefficients of q^0, q^1, ... of C_n(q): the Narayana numbers
     N(n,1), ..., N(n,n), and (1,) at n = 0.
 
-    The one per-n memo that narayana, catalan and schroeder read, for the
-    256 most recent n, above the 201 rows of the CLI's largest table.
+    The one per-n memo that narayana, large_narayana_row, catalan and
+    schroeder read, for the 256 most recent n, above the 201 rows of the
+    CLI's largest table.
     """
     if n < 0:
         raise ValueError("narayana index must be nonnegative")
@@ -51,11 +52,14 @@ def narayana(n: int) -> PolyQQ:
     return PolyQQ.from_q_coefficients(narayana_row(n))
 
 
+def large_narayana_row(n: int) -> tuple[int, ...]:
+    """The int coefficients of q*C_n(q), and (1,) at n = 0."""
+    return (0,) + narayana_row(n) if n else (1,)
+
+
 def large_narayana(n: int) -> PolyQQ:
     """q * C_n(q) for n >= 1, and 1 at n = 0."""
-    if n == 0:
-        return _ONE
-    return PolyQQ({(a + 1, b): c for (a, b), c in narayana(n).items()})
+    return PolyQQ.from_q_coefficients(large_narayana_row(n))
 
 
 @lru_cache(maxsize=256)

@@ -47,11 +47,6 @@ class TruncSeries:
     def coefficients(self) -> Sequence[PolyQQ]:
         return tuple(self._c)
 
-    def truncated(self, order: int) -> TruncSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self._c[: order + 1], order=order)
-
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self._c)
 
@@ -107,9 +102,6 @@ class TruncSeries:
             out.append(-(inv0 * acc))
         return TruncSeries(out, order=self.order)
 
-    def __truediv__(self, other: TruncSeries) -> TruncSeries:
-        return self * other.inverse()
-
     def int_pow(self, e: int) -> TruncSeries:
         if e < 0:
             return self.inverse().int_pow(-e)
@@ -121,19 +113,6 @@ class TruncSeries:
             e >>= 1
             if e:
                 base = base * base
-        return acc
-
-    def compose(self, inner: TruncSeries) -> TruncSeries:
-        """self(inner(u)); inner must have zero constant term."""
-        if not inner._c[0].is_zero:
-            raise ValueError("composition needs a zero constant term inside")
-        n = min(self.order, inner.order)
-        acc = TruncSeries([self._c[n]], order=n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner.truncated(n)
-            acc = TruncSeries(
-                [acc._c[0] + self._c[k]] + list(acc._c[1:]), order=n
-            )
         return acc
 
     def reverse(self) -> TruncSeries:

@@ -3,10 +3,10 @@
 subst_q (with and without q2) against substitution, and its dense-row kernel
 on rows of degree up to 30 against PolyElement.compose in sympy's sparse
 ring; the column kernel _sum_powers against sums of powers in that ring;
-*, +, -, eval (and its integer-point Horner route) and divexact against
-sympy's expand, subs and cancel; jacobi11 against sympy.jacobi;
-det_fraction_free against Matrix.det; TruncSeries.reverse by composing in
-sympy.
+*, +, -, eval and divexact against sympy's expand, subs and cancel;
+jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det;
+TruncSeries products and inverses against truncated sympy products, and
+TruncSeries.reverse by composing in sympy.
 """
 
 import random
@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.lambdaring import det_fraction_free
-from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _eval_int, _sum_powers
+from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
@@ -194,7 +194,7 @@ def test_eval_integer_points_against_sympy():
         for rational in (False, True)
     ]
     dense += [Q2 * 3 - 1, PolyQQ({(0, 2): Fraction(-1, 2), (1, 0): 4, (1, 1): 1, (0, 1): 2})]
-    # Laurent, or too sparse for Horner: the per-term powers.
+    # Laurent, rational with q2, or sparse of high degree.
     general = [
         PolyQQ({(-2, 0): 3, (1, 0): Fraction(1, 2), (0, -1): -1}),
         random_row(rng, 9, True, keep_q2=True),
@@ -213,9 +213,6 @@ def test_eval_integer_points_against_sympy():
                 got = p.eval(x, y)
                 assert got == want, (p, x, y)
                 assert type(got) is int or got.denominator != 1
-                fast = _eval_int(dict(p.items()), x, y)
-                assert (fast is None) == (p in general), (p, x, y)
-                assert fast is None or fast == got
     assert PolyQQ.zero().eval(-4, 5) == 0
     assert type((Q * Fraction(1, 2)).eval(4)) is int
 
@@ -447,6 +444,63 @@ def test_det_fraction_free_against_sympy():
     rows[2] = [e * (Q - Q2) for e in rows[0]]
     assert det_fraction_free(rows).is_zero
     assert_det_matches_sympy(rows)
+
+
+SERIES_RING, SU, SQ, SQ2, SQI, SQ2I = ring("u,q,q2,qi,q2i", sympy.QQ)
+
+
+def random_series(rng: random.Random, order: int) -> list[PolyQQ]:
+    """order + 1 Laurent coefficients in q and q2, about a quarter of them zero."""
+    return [
+        random_poly(rng, -2, 2, q2_lo=-2) if rng.random() < 0.75 else PolyQQ.zero()
+        for _ in range(order + 1)
+    ]
+
+
+def truncated_product(f: list[PolyQQ], g: list[PolyQQ], order: int) -> list[dict]:
+    """Laurent terms of the coefficients of u^0..u^order of f(u)*g(u), as a
+    product in a sympy ring with qi and q2i for q^-1 and q2^-1."""
+    def to_series_ring(coeffs):
+        out = SERIES_RING.zero
+        for k, c in enumerate(coeffs):
+            for (a, b), v in c.items():
+                mono = (SQ**a if a >= 0 else SQI**-a) * (SQ2**b if b >= 0 else SQ2I**-b)
+                out += SU**k * mono * sympy.QQ(v.numerator, v.denominator)
+        return out
+
+    out: list[dict] = [{} for _ in range(order + 1)]
+    for (k, i, j, m, n), c in (to_series_ring(f) * to_series_ring(g)).terms():
+        if k <= order:
+            key = (i - m, j - n)
+            out[k][key] = out[k].get(key, 0) + Fraction(int(c.numerator), int(c.denominator))
+    return [{key: c for key, c in terms.items() if c} for terms in out]
+
+
+def test_series_mul_against_sympy():
+    rng = random.Random(71)
+    for _ in range(16):
+        nf, ng = rng.randint(0, 8), rng.randint(0, 8)
+        f, g = random_series(rng, nf), random_series(rng, ng)
+        got = TruncSeries(f, order=nf) * TruncSeries(g, order=ng)
+        assert got.order == min(nf, ng)
+        want = truncated_product(f, g, got.order)
+        assert [dict(c.items()) for c in got.coefficients()] == want, (f, g)
+
+
+def test_series_inverse_against_sympy():
+    rng = random.Random(73)
+    for _ in range(16):
+        order = rng.randint(0, 8)
+        c0 = PolyQQ.monomial(
+            Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+            rng.randint(-2, 2),
+            rng.randint(-2, 2),
+        )
+        f = [c0] + random_series(rng, order)[1:]
+        inv = TruncSeries(f, order=order).inverse()
+        assert inv.order == order
+        product = truncated_product(f, inv.coefficients(), order)
+        assert product == [{(0, 0): 1}] + [{}] * order, f
 
 
 def test_reverse_composes_to_identity_in_sympy():

@@ -29,7 +29,7 @@ def test_int_pow_binomials():
 
 def test_div_geometric_in_one_minus_q():
     denom = TruncSeries([ONE, -(ONE - Q)], order=7)
-    quot = TruncSeries.one(7) / denom
+    quot = TruncSeries.one(7) * denom.inverse()
     for m in range(8):
         assert quot.coefficient(m) == (ONE - Q) ** m
 
@@ -46,7 +46,7 @@ def test_div_exactness_random():
             PolyQQ.const(rng.randint(-3, 3)) + Q * rng.randint(-2, 2) for _ in range(n)
         ]
         b = TruncSeries(b_coeffs, order=n)
-        assert (a / b) * b == a
+        assert (a * b.inverse()) * b == a
 
 
 def test_mismatched_orders_truncate():
@@ -87,6 +87,16 @@ def test_reverse_gives_catalan():
         assert rev.coefficient(k) == PolyQQ.const(c)
 
 
+def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
+    """outer(inner(u)) by Horner's rule; inner has a zero constant term."""
+    assert inner.coefficient(0).is_zero
+    n = min(outer.order, inner.order)
+    acc = TruncSeries([outer.coefficient(n)], order=n)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + TruncSeries([outer.coefficient(k)], order=n)
+    return acc
+
+
 def test_reverse_composes_to_identity_random():
     rng = random.Random(9)
     for _ in range(25):
@@ -96,7 +106,7 @@ def test_reverse_composes_to_identity_random():
         ]
         f = TruncSeries(coeffs, order=n)
         g = f.reverse()
-        composed = g.compose(f)
+        composed = compose(g, f)
         expected = TruncSeries([PolyQQ.zero(), ONE], order=n)
         assert composed == expected
 
