@@ -31,6 +31,9 @@ from .sequences import (
 TABLE_MAX_N_CAP = 200
 CF_DEPTH_CAP = 20
 ECHO_CAP = 60  # characters of a query quoted back in an eval error message
+# Digits of a numeric input (either part of --at-q).  At 20-digit parts every
+# table's rows print within Python's 4300-digit int-to-str limit.
+DIGITS_CAP = 20
 SEED_ENV_VAR = "NARAYANA_LAB_SEED"
 
 _POLY_TABLES = {
@@ -47,15 +50,25 @@ _INT_TABLES = {
 TABLE_NAMES = sorted(_POLY_TABLES | _INT_TABLES)
 
 
+def _decimal(text: str) -> int:
+    """An optional '-' and 1..DIGITS_CAP ASCII digits: every numeric input."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (0 < len(digits) <= DIGITS_CAP and digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"not a decimal integer of 1 to {DIGITS_CAP} ASCII digits: {_echo(text)}"
+        )
+    return int(text)
+
+
 def _rational(text: str) -> Fraction:
-    """Decimal integer or a/b rational; floats are rejected."""
+    """Decimal integer or a/b rational, each part read by _decimal; floats are rejected."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        return Fraction(_decimal(num), _decimal(den) if slash else 1)
+    except (argparse.ArgumentTypeError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not an exact rational a or a/b of at most {DIGITS_CAP} digits each: {_echo(text)}"
+        ) from None
 
 
 def _default_seed() -> int:
@@ -63,11 +76,9 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{SEED_ENV_VAR} must be a decimal integer, got {raw!r}"
-        ) from None
+        return _decimal(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{SEED_ENV_VAR}: {exc}") from None
 
 
 def _coeff_json(c: Coeff):
@@ -231,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a sequence table")
     p_table.add_argument("name", choices=TABLE_NAMES)
-    p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_table.add_argument("--max-n", type=_decimal, required=True, dest="max_n")
     p_table.add_argument(
         "--at-q", type=_rational, default=None, dest="at_q",
         help="evaluate polynomial rows at an exact rational",
@@ -245,22 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one identity (repeatable); default all "
         f"({len(registered_ids())} registered)",
     )
-    p_verify.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p_verify.add_argument("--max-n", type=_decimal, default=12, dest="max_n")
     p_verify.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_decimal, default=None,
         help=f"schedule seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
     )
     p_verify.add_argument("--report", default=None, help="write the JSON report here")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_cf = sub.add_parser("cf", help="continued-fraction coefficients")
-    p_cf.add_argument("--depth", type=int, required=True)
+    p_cf.add_argument("--depth", type=_decimal, required=True)
     _add_format(p_cf)
     p_cf.set_defaults(handler=_cmd_cf)
 
     p_hl = sub.add_parser("hl", help="principal Hall-Littlewood value")
-    p_hl.add_argument("--r", type=int, required=True)
-    p_hl.add_argument("--n", type=int, required=True)
+    p_hl.add_argument("--r", type=_decimal, required=True)
+    p_hl.add_argument("--n", type=_decimal, required=True)
     _add_format(p_hl)
     p_hl.set_defaults(handler=_cmd_hl)
 

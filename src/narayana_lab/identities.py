@@ -75,7 +75,7 @@ _ONE = PolyQQ.one()
 Params = dict[str, "int | Fraction"]
 # Pairs (row_k, coefficients of I_k) of a sum over k of row_k * I_k, where a
 # row is the int coefficients of a polynomial in q (a tuple, for
-# _convolution) or its value at q = 2 (an int, for _at_two).
+# poly._sum_powers) or its value at q = 2 (an int, for _at_two).
 _Terms = list[tuple["tuple[int, ...] | int", list[int]]]
 
 
@@ -622,22 +622,6 @@ def _rothe(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _convolution(terms: _Terms, base: PolyQQ) -> PolyQQ:
-    """sum_k row_k(q) * I_k(base) over the pairs (row_k, coefficients of I_k).
-
-    Each row is a tuple of int coefficients in q ((c,) for a constant).  The
-    m-th column sum_k c_(k,m) * row_k(q) is a dense int row in q, and one
-    call of the column kernel sums column_m * base^m by Horner's rule.
-    """
-    width = max(len(row) for row, _ in terms)
-    table = [[0] * width for _ in range(max(len(coeffs) for _, coeffs in terms))]
-    for row, coeffs in terms:
-        for col, cm in zip(table, coeffs):
-            if cm:
-                col[:len(row)] = [s + cm * t for s, t in zip(col, row)]
-    return _sum_powers(table, base)
-
-
 def _at_two(terms: _Terms, base: int) -> int:
     """sum_k row_k * I_k at q = 2, where the base of I_k (1-q or q-1) is -1 or 1."""
     return sum(row * (sum(coeffs[::2]) + base * sum(coeffs[1::2])) for row, coeffs in terms)
@@ -682,7 +666,7 @@ def _thm3_terms(n: int, large: Callable) -> _Terms:
 )
 def _thm3(p: Params):
     n = p["n"]
-    return narayana(n), _convolution(_thm3_terms(n, large_narayana_row), _QM1)
+    return narayana(n), _sum_powers(_thm3_terms(n, large_narayana_row), _QM1)
 
 
 @_register(
@@ -783,7 +767,7 @@ def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Term
 )
 def _thm4(p: Params):
     lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, large_narayana_row)
-    return _convolution(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
+    return _sum_powers(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
 
 
 @_register(
@@ -817,7 +801,7 @@ def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
-    return _convolution(_thm5_terms(n, r, large_narayana_row), _OMQ), gen_binomial(n + 1, r)
+    return _sum_powers(_thm5_terms(n, r, large_narayana_row), _OMQ), gen_binomial(n + 1, r)
 
 
 @_register(
@@ -864,7 +848,7 @@ def _thm6(p: Params):
             (rows[k], [_thm6_coeff(n, k, i, j) for i in range(k + 1 - j)])
             for k in range(j, n + 1)
         ]
-        for (a, _), c in _convolution(terms, _OMQ).items():
+        for (a, _), c in _sum_powers(terms, _OMQ).items():
             slices[(a, j)] = c
     return lhs, PolyQQ(slices).subst_q(_Q, q2=_Q2M1)
 
@@ -889,13 +873,13 @@ def _thm6_spec_q1(p: Params):
             ((catalan(n - k),), [_thm6_coeff(n, k, 0, j) for j in range(k + 1)])
             for k in range(n + 1)
         ]
-        return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
+        return large_narayana(n) * (n + 1), _sum_powers(terms, _QM1)
     # q' = 1, so y = 0: T_k's slice j = 0, in x = 1-q.
     terms = [
         (large_narayana_row(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
         for k in range(n + 1)
     ]
-    return (n + 1) * catalan(n), _convolution(terms, _OMQ)
+    return (n + 1) * catalan(n), _sum_powers(terms, _OMQ)
 
 
 @_register(
@@ -915,7 +899,7 @@ def _thm6_spec_q2(p: Params):
             )
             for k in range(n + 1)
         ]
-        return large_narayana(n) * (n + 1), _convolution(terms, _QM1)
+        return large_narayana(n) * (n + 1), _sum_powers(terms, _QM1)
     # q' = 2, so y = 1: T_k's row sums, in x = 1-q.
     terms = [
         (
@@ -924,7 +908,7 @@ def _thm6_spec_q2(p: Params):
         )
         for k in range(n + 1)
     ]
-    return (n + 1) * schroeder("large", n), _convolution(terms, _OMQ)
+    return (n + 1) * schroeder("large", n), _sum_powers(terms, _OMQ)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,9 @@ a value is an honest polynomial with integer coefficients.
 Products, evaluation and substitution run on Python ints alone: each operand
 is scaled to integer numerators over the lcm of its denominators (1, with
 nothing copied, for an integer polynomial), the kernel accumulates ints, and a
-Fraction is built once per output value, at the boundary.
+Fraction is built once per output value, at the boundary.  Every power sum,
+from subst_q or from _sum_powers, is summed by one Horner loop, _horner, on
+dense int rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 Coeff = int | Fraction
 ExpPair = tuple[int, int]
@@ -332,20 +334,15 @@ class PolyQQ:
         one base, from_q_coefficients(c).subst_q(x).  Without q2, q2 stays as
         it is.  The exponents of a replaced variable must be >= 0.
 
-        Without q2, when neither self nor x has a q2-term, the sum is
-        sum_a c_a*x^a in one variable, and the column kernel `_sum_powers`
-        evaluates it with constant columns.  Every other case runs the
-        two-variable kernel below.
-
-        The kernel runs on dense integer rows over one denominator.  self, x
+        Every shape runs on dense integer rows over one denominator.  self, x
         and y are scaled once to integer numerators (x = xn/dx, y = yn/dy).
         Every value is packed into one Laurent row in t by the ring map
         q -> t, q2 -> t^S, or q -> t^S, q2 -> t (Kronecker substitution), with
         S wider than the window that the result's exponents of the t-variable
-        lie in, so that the result unpacks exactly.  Horner's rule in xn then
-        sums c_ab*dy^(B-b)*yn^b*dx^(K-a), one convolution per step, with yn^b
-        from one table of powers; one PolyQQ is built at the end, over
-        d*dy^B*dx^K.
+        lie in, so that the result unpacks exactly.  _horner then sums, for
+        each q2-exponent b, yn^b (or the kept q2^b) times
+        sum_a c_ab*dy^(B-b)*(xn/dx)^a, with the yn^b built one product at a
+        time; one PolyQQ is built at the end, over d*dy^B*dx^K.
 
         Time and memory grow with the exponent window, not with the number of
         terms: the rows span K times the spread of x's exponents (0 included),
@@ -362,14 +359,8 @@ class PolyQQ:
         b_exps = [b for _, b in nums]
         if min(a_exps) < 0 or (q2 is not None and min(b_exps) < 0):
             raise ValueError("substitution into a negative exponent")
-        x = _as_poly(replacement)
+        xn, dx = _numerators(_as_poly(replacement)._terms)
         a_top = max(a_exps)
-        if q2 is None and not any(b_exps) and not any(b for _, b in x._terms):
-            cols = [[0] for _ in range(a_top + 1)]
-            for (a, _), c in nums.items():
-                cols[a][0] = c
-            return _sum_powers(cols, x, d)
-        xn, dx = _numerators(x._terms)
         if q2 is None:
             windows = ((0, 0), (min(b_exps), max(b_exps)))
         else:
@@ -383,30 +374,22 @@ class PolyQQ:
         lo = x_lo + windows[fast][0]
         stride = x_hi + windows[fast][1] - lo + 1
         w_q, w_q2 = (1, stride) if fast == 0 else (stride, 1)
+        # One pair per q2-exponent b: the kept q2^b or y^b, and the
+        # coefficients of x^0, x^1, ... that go with it.
+        by_b: dict[int, list[int]] = {}
+        for (a, b), c in nums.items():
+            by_b.setdefault(b, [0] * (a_top + 1))[a] = c
         if q2 is None:
-            def power(b: int) -> _Row:
-                return b * w_q2, [1]
+            pairs = [((b * w_q2, [1]), coeffs) for b, coeffs in by_b.items()]
         else:
             y_row = _dense({a * w_q + b * w_q2: c for (a, b), c in yn.items()})
             powers = [(0, [1])]
             for _ in range(b_top):
                 powers.append(_mul(powers[-1], y_row))
-            power = powers.__getitem__
+            pairs = [(powers[b], [c * dy ** (b_top - b) for c in coeffs]) for b, coeffs in by_b.items()]
             d *= dy**b_top
-        by_a: dict[int, list[tuple[int, int]]] = {}
-        for (a, b), c in nums.items():
-            if q2 is not None:
-                c *= dy ** (b_top - b)
-            by_a.setdefault(a, []).append((b, c))
         x_row = _dense({a * w_q + b * w_q2: c for (a, b), c in xn.items()})
-        out: _Row | None = None
-        scale = 1
-        for k in range(a_top, -1, -1):
-            if out is not None:
-                out = _mul(out, x_row)
-                scale *= dx
-            for b, c in by_a.get(k, ()):
-                out = _add(out, power(b), c * scale)
+        out, scale = _horner(pairs, x_row, dx)
         d *= scale
         start, row = out
         unpacked: dict[ExpPair, Coeff] = {}
@@ -453,9 +436,9 @@ class PolyQQ:
         return f"PolyQQ({self})"
 
 
-# A value of the substitution kernel: a Laurent polynomial in one variable t,
-# as its lowest exponent and the dense list of int coefficients from there up.
-_Row = tuple[int, list[int]]
+# A value of the Horner kernel: a Laurent polynomial in one variable t, as its
+# lowest exponent and the dense int coefficients from there up.
+_Row = tuple[int, Sequence[int]]
 
 
 def _window(terms: dict[ExpPair, int], i: int, n: int) -> tuple[int, int]:
@@ -497,9 +480,9 @@ def _mul(u: _Row, v: _Row) -> _Row:
 def _add(u: _Row | None, v: _Row, c: int) -> _Row:
     """u + c*v, with None for a zero u.
 
-    u's list is updated in place when v fits inside it: every u the kernels
-    pass is a list they built themselves, never x's, y's, a power's or a
-    caller's column.
+    u's list is updated in place when v fits inside it: every u that _horner
+    passes is a list it built itself.  v is only read, so it may be a
+    caller's tuple (a narayana_row) or a power of y.
     """
     sv, rv = v
     if u is None:
@@ -517,29 +500,40 @@ def _add(u: _Row | None, v: _Row, c: int) -> _Row:
     return su, ru
 
 
-def _sum_powers(cols: list[list[int]], x: PolyQQ, d: int = 1) -> PolyQQ:
-    """sum_m cols[m](q) * x^m / d, for x free of q2: the column kernel.
+def _horner(terms: list[tuple[_Row, list[int]]], x_row: _Row, dx: int) -> tuple[_Row | None, int]:
+    """sum over the pairs (row, c) of row * sum_m c[m] * (x_row/dx)^m, by Horner's rule.
 
-    cols[m] lists the int coefficients of q^0, q^1, ... of the m-th column
-    ([c] for a constant).  x is scaled once to integer numerators xn/dx, and
-    Horner's rule out = out*xn + cols[m]*dx^(K-m) runs from the top m = K
-    down, one _mul and one _add per step; one PolyQQ is built at the end,
-    over d*dx^K.  subst_q's one-variable path and the convolution identities
-    evaluate their sums here.
+    From the top m = K down, out = out*x_row + sum of c[m]*dx^(K-m)*row: one
+    _mul per step and one _add per nonzero coefficient.  Returns out (None
+    for zero) and the power of dx it is scaled by (below dx^K when the top
+    coefficients are zero).  The package's one Horner loop.
     """
-    xn, dx = _numerators(x._terms)
-    x_row = _dense({a: c for (a, _), c in xn.items()})
     out: _Row | None = None
     scale = 1
-    for col in reversed(cols):
+    for m in range(max((len(c) for _, c in terms), default=0) - 1, -1, -1):
         if out is not None:
             out = _mul(out, x_row)
             scale *= dx
-        out = _add(out, (0, col), scale)
+        for row, coeffs in terms:
+            if m < len(coeffs) and coeffs[m]:
+                out = _add(out, row, coeffs[m] * scale)
+    return out, scale
+
+
+def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> PolyQQ:
+    """sum_k row_k(q) * sum_m c_km * x^m over pairs (row_k, [c_k0, c_k1, ...]), for x free of q2.
+
+    Each row_k is the int coefficients of q^0, q^1, ... ((c,) for a
+    constant); the convolution identities pass their pairs as they build
+    them.  x is scaled once to integer numerators, _horner sums, and one
+    PolyQQ is built at the end.
+    """
+    xn, dx = _numerators(x._terms)
+    x_row = _dense({a: c for (a, _), c in xn.items()})
+    out, d = _horner([((0, row), coeffs) for row, coeffs in terms], x_row, dx)
     if out is None:
         return _ZERO
     start, row = out
-    d *= scale
     if d == 1:
         return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})

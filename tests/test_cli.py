@@ -214,3 +214,59 @@ def test_eval_error_echo_is_bounded(capsys):
         assert f"... ({len(query)} characters)" in err
     assert main(["eval", "h2[w]"]) == 2
     assert "'h2[w]'" in capsys.readouterr().err
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_numeric_inputs_are_ascii_decimals(capsys, monkeypatch):
+    # int() would take Arabic-Indic digits and underscores; every numeric
+    # input takes an optional '-' and 1 to 20 ASCII digits, nothing else.
+    for argv in (
+        ["table", "catalan", "--max-n", "٣"],
+        ["table", "catalan", "--max-n", "1_0"],
+        ["table", "catalan", "--max-n", " 3"],
+        ["table", "catalan", "--max-n", "+3"],
+        ["hl", "--r", "1_0", "--n", "٤"],
+        ["hl", "--r", "3", "--n", "٤"],
+        ["cf", "--depth", "²"],
+        ["verify", "--id", "koshy", "--max-n", "٤"],
+        ["verify", "--id", "koshy", "--max-n", "4", "--seed", "1_1"],
+        ["table", "narayana", "--max-n", "3", "--at-q", "٣/1_0"],
+        ["table", "narayana", "--max-n", "3", "--at-q", "1/٣"],
+        ["table", "narayana", "--max-n", "3", "--at-q", "1/"],
+        ["table", "narayana", "--max-n", "3", "--at-q", "-"],
+    ):
+        start = time.perf_counter()
+        assert exit_code(argv) == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+    monkeypatch.setenv("NARAYANA_LAB_SEED", "٧")
+    assert main(["verify", "--id", "koshy", "--max-n", "4"]) == 2
+    assert "NARAYANA_LAB_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("NARAYANA_LAB_SEED", "-7")
+    assert main(["verify", "--id", "koshy", "--max-n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == -7
+    assert main(["table", "narayana", "--max-n", "003", "--at-q=-1/02"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0: 1", "1: 1", "2: 1/2", "3: -1/4"]
+
+
+def test_at_q_parts_have_at_most_20_digits(capsys):
+    # Past 20 digits a row of table --max-n 200 can pass Python's 4300-digit
+    # limit on int-to-str conversion (a traceback and exit 1), and at 1000
+    # digits the table runs for minutes; such a point is refused before any
+    # work.
+    for at in ("9" * 1000, "9" * 100 + "/2", "1/" + "9" * 21, f"{10**21 - 1}/{10**21 - 2}"):
+        start = time.perf_counter()
+        assert exit_code(["table", "large-narayana", "--max-n", "200", "--at-q", at]) == 2
+        assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "at most 20 digits" in err and len(err) < 2000
+    # The 20-digit extreme: a/b near 1 makes every row's numerator largest.
+    at = f"-{10**20 - 1}/{10**20 - 2}"
+    assert main(["table", "large-narayana", "--max-n", "200", f"--at-q={at}"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 201

@@ -17,7 +17,7 @@ from narayana_lab.identities import (
     run_suite,
 )
 from narayana_lab.partitions import enumerate_partitions, z_of
-from narayana_lab.poly import PolyQQ, _sum_powers as kernel
+from narayana_lab.poly import PolyQQ, _horner as horner
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.sequences import catalan, large_narayana, narayana, schroeder
 
@@ -364,7 +364,7 @@ def test_convolutions_equal_their_per_term_products():
             assert case.lhs == _thm5_schroeder_by_terms(n, r), (n, r)
 
 
-convolution = identities._convolution
+sum_powers = identities._sum_powers
 subst = PolyQQ.subst_q
 
 
@@ -374,29 +374,28 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
 
     monkeypatch.setattr("narayana_lab.identities.enumerate_partitions", refuse)
     monkeypatch.setattr("narayana_lab.identities.z_of", refuse)
-    # One call of the column kernel per sum, from _convolution or from
-    # subst_q's one-variable path.
+    # One call of the Horner loop per sum, from _sum_powers or from subst_q
+    # of any shape.
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return kernel(*args)
+        return horner(*args)
 
-    monkeypatch.setattr("narayana_lab.poly._sum_powers", counting)
-    monkeypatch.setattr("narayana_lab.identities._sum_powers", counting)
+    monkeypatch.setattr("narayana_lab.poly._horner", counting)
 
-    # _convolution hands its integer columns to the kernel: no PolyQQ
-    # product, power or substitution.
+    # The convolution identities hand their (row, coefficients) pairs to the
+    # kernel: no PolyQQ product, power or substitution.
     def no_product(*args):
-        raise AssertionError("_convolution used PolyQQ arithmetic")
+        raise AssertionError("_sum_powers used PolyQQ arithmetic")
 
     def guarded(terms, base):
         with monkeypatch.context() as m:
             for name in ("__mul__", "__rmul__", "__pow__", "subst_q"):
                 m.setattr(PolyQQ, name, no_product)
-            return convolution(terms, base)
+            return sum_powers(terms, base)
 
-    monkeypatch.setattr("narayana_lab.identities._convolution", guarded)
+    monkeypatch.setattr("narayana_lab.identities._sum_powers", guarded)
     for id, params, want in (
         ("new-formula", {"r": 9}, 1),
         ("thm3", {"n": 9}, 1),
@@ -412,7 +411,8 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
         assert len(calls) == want, (id, params)
 
     # thm6: one convolution per power of q'-1, then one two-variable
-    # substitution, and no PolyQQ product anywhere in the case.
+    # substitution (n+2 Horner loops), and no PolyQQ product anywhere in the
+    # case.
     substs = []
 
     def counting_subst(self, x, q2=None):
@@ -425,8 +425,14 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
         for name in ("__mul__", "__rmul__", "__pow__"):
             m.setattr(PolyQQ, name, no_product)
         assert check_identity("thm6", {"n": 9}).passed
-    assert len(calls) == 10
+    assert len(calls) == 11
     assert len(substs) == 1 and substs[0] is not None
+    # Every subst_q shape takes the same loop, once.
+    q2 = PolyQQ.var_q2()
+    for x, y in ((OMQ, None), (Q * q2, None), (QM1, Q), (Fraction(1, 2), 3)):
+        calls.clear()
+        (Q**3 * 2 + Q * 5 + 1 + q2).subst_q(x, q2=y)
+        assert len(calls) == 1, (x, y)
 
 
 def test_convolution_cases_read_int_rows(monkeypatch):

@@ -2,7 +2,7 @@
 
 subst_q (with and without q2) against substitution, and its dense-row kernel
 on rows of degree up to 30 against PolyElement.compose in sympy's sparse
-ring; the column kernel _sum_powers against sums of powers in that ring;
+ring; the convolution kernel _sum_powers against sums of powers in that ring;
 *, +, -, eval and divexact against sympy's expand, subs and cancel;
 jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det;
 TruncSeries products and inverses against truncated sympy products, and
@@ -218,25 +218,31 @@ def test_eval_integer_points_against_sympy():
 
 
 def test_column_kernel_against_sympy():
+    # Each sum is several (row, coefficients) pairs, as the convolution
+    # identities pass them: rows of different lengths, coefficient lists of
+    # different lengths, some coefficients zero (all of them, in some sums).
     rng = random.Random(53)
     bases = [Q - 1, ONE - Q, Q * Fraction(2, 3) + Fraction(1, 4), PolyQQ.monomial(3, -1) + Q]
-    for i in range(24):
+    for i in range(32):
         base = bases[i % len(bases)]
-        width = rng.randint(1, 25)
-        cols = [
-            [rng.randint(-10**6, 10**6) if rng.random() < 0.8 else 0 for _ in range(rng.randint(1, width))]
-            for _ in range(rng.randint(1, 22))
+        zeros = rng.choice((0.2, 0.5, 1.0))
+        terms = [
+            (
+                tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 25))),
+                [rng.randint(-10**6, 10**6) if rng.random() >= zeros else 0 for _ in range(rng.randint(1, 22))],
+            )
+            for _ in range(rng.randint(1, 6))
         ]
-        d = rng.choice((1, 1, 6, 35))
         want = RING.zero
-        for m, col in enumerate(cols):
-            want += to_ring(PolyQQ.from_q_coefficients(col)) * to_ring(base) ** m
-        got = _sum_powers(cols, base, d)
+        for row, coeffs in terms:
+            inner = sum((c * to_ring(base) ** m for m, c in enumerate(coeffs)), RING.zero)
+            want += to_ring(PolyQQ.from_q_coefficients(row)) * inner
+        got = _sum_powers(terms, base)
         assert isinstance(got, PolyQQ)
-        assert dict(got.items()) == ring_terms(want * sympy.QQ(1, d)), (cols, base, d)
+        assert dict(got.items()) == ring_terms(want), (terms, base)
         assert_canonical(got)
     assert _sum_powers([], Q - 1) == PolyQQ.zero()
-    assert _sum_powers([[0, 0], [0]], ONE - Q) == PolyQQ.zero()
+    assert _sum_powers([((5, 1), [0, 0]), ((0, 0), [3])], ONE - Q) == PolyQQ.zero()
 
 
 def sympy_value(x):
@@ -391,7 +397,7 @@ def test_subst_q_uses_no_polynomial_arithmetic(monkeypatch):
         (random_row(rng, 20, False, True), PolyQQ.monomial(1, -1, 1), None),
         (random_table(rng, 20, False), (Q - 1) * half, (Q + 1) * half),
         (random_table(rng, 12, True), Q2 - 1, PolyQQ.monomial(1, -1, 1)),
-        (random_row(rng, 25, True, False), ONE - Q, None),  # the column kernel
+        (random_row(rng, 25, True, False), ONE - Q, None),  # one base, no q2-term
     ]
     expected = [ring_subst(p, x, y) for p, x, y in cases]
 
