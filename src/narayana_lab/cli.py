@@ -279,8 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1/2" for an option, so "--at-q -1/2" (or a prefix) goes in as "--at-q=-1/2".
+    for i in reversed(range(len(argv) - 1)):
+        if argv[0] == "table" and len(argv[i]) > 2 and "--at-q".startswith(argv[i]):
+            argv[i:i + 2] = [f"--at-q={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     if getattr(args, "command", None) == "verify":
         if args.seed is None:
             try:

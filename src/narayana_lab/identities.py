@@ -767,7 +767,7 @@ def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Term
 )
 def _thm4(p: Params):
     lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, large_narayana_row)
-    return _sum_powers(lhs, _QM1), PolyQQ.from_q_coefficients(rhs).subst_q(_QM1)
+    return _sum_powers(lhs, _QM1), _sum_powers([((1,), rhs)], _QM1)
 
 
 @_register(

@@ -28,6 +28,8 @@ VALUE_ONE_MINUS_Q2 = PolyQQ.one() - VALUE_Q2
 
 STRINC_CAP = 12
 SCHUR_LENGTH_CAP = 12
+# The singleton alphabets' largest p index: thm8's and pa1-central's at VERIFY_MAX_N_CAP.
+POWER_SUM_CAP = 30
 
 
 def _poly_sort_key(p: PolyQQ):
@@ -275,10 +277,11 @@ class HSequence:
     Schur values from Jacobi-Trudi.
     """
 
-    def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff]):
+    def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff], cap: float = float("inf")):
         # h is read straight from h_fn, so a costly h_fn memoizes itself
         # (narayana and catalan each keep a bounded lru_cache).
         self._h_fn = h_fn
+        self._cap = cap
         self._p_cache: dict[int, PolyQQ] = {}
 
     def h(self, n: int) -> PolyQQ:
@@ -290,8 +293,8 @@ class HSequence:
         return value
 
     def p(self, n: int) -> PolyQQ:
-        if n < 1:
-            raise ValueError("p index must be positive")
+        if not 1 <= n <= self._cap:
+            raise ValueError(f"p index must lie in 1..{self._cap}")
         # The table holds p_1..p_m; fill it upward, without recursion.
         for m in range(len(self._p_cache) + 1, n + 1):
             acc = self.h(m) * m

@@ -8,15 +8,16 @@ Products, evaluation and substitution run on Python ints alone: each operand
 is scaled to integer numerators over the lcm of its denominators (1, with
 nothing copied, for an integer polynomial), the kernel accumulates ints, and a
 Fraction is built once per output value, at the boundary.  Every power sum,
-from subst_q or from _sum_powers, is summed by one Horner loop, _horner, on
-dense int rows.
+from subst_q or from _sum_powers, is summed by one kernel, _horner, which packs
+each dense int row into one int at t = 2^w (Kronecker substitution), so that
+the sum runs in CPython's bigint arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, sub
+from operator import lshift, mul
 from typing import Iterator, Mapping, Sequence
 
 Coeff = int | Fraction
@@ -336,36 +337,35 @@ class PolyQQ:
 
         Every shape runs on dense integer rows over one denominator.  self, x
         and y are scaled once to integer numerators (x = xn/dx, y = yn/dy).
-        Every value is packed into one Laurent row in t by the ring map
-        q -> t, q2 -> t^S, or q -> t^S, q2 -> t (Kronecker substitution), with
-        S wider than the window that the result's exponents of the t-variable
-        lie in, so that the result unpacks exactly.  _horner then sums, for
-        each q2-exponent b, yn^b (or the kept q2^b) times
-        sum_a c_ab*dy^(B-b)*(xn/dx)^a, with the yn^b built one product at a
-        time; one PolyQQ is built at the end, over d*dy^B*dx^K.
+        Every value is put into one Laurent row in t by the ring map
+        q -> t, q2 -> t^S, or q -> t^S, q2 -> t, with S wider than the window
+        that the result's exponents of the t-variable lie in.  _horner sums,
+        for each q2-exponent b, y^b (or the kept q2^b) times sum_a c_ab*x^a.
 
-        Time and memory grow with the exponent window, not with the number of
-        terms: the rows span K times the spread of x's exponents (0 included),
-        plus B times that of y, in each of q and q2, where K and B are self's
-        top degrees in q and q2.  A sparse high-degree replacement is as dear
-        as a dense one of its degree: x = q^200 + 1 into a degree-30 row packs
-        rows 6,001 wide.
+        Time and memory grow with the exponent window times the slot width,
+        not with the number of terms.  The rows span K times the spread of x's
+        exponents (0 included), plus B times that of y, where K and B are
+        self's top degrees in q and q2; _horner packs them at w bits a slot,
+        w = log2 of the largest coefficient + K*log2(|x|_1 + dx) +
+        B*log2(|y|_1 + dy) and a little.  A sparse high-degree replacement is
+        as dear as a dense one: x = q^200 + 1 into a degree-30 row packs rows
+        6,001 slots wide.
         """
         terms = self._terms
         if not terms:
             return _ZERO
         nums, d = _numerators(terms)
-        a_exps = [a for a, _ in nums]
-        b_exps = [b for _, b in nums]
+        a_exps, b_exps = zip(*nums)
         if min(a_exps) < 0 or (q2 is not None and min(b_exps) < 0):
             raise ValueError("substitution into a negative exponent")
         xn, dx = _numerators(_as_poly(replacement)._terms)
         a_top = max(a_exps)
         if q2 is None:
-            windows = ((0, 0), (min(b_exps), max(b_exps)))
+            # The kept q2^b is y^(b-b_lo) * q2^b_lo for y = q2.
+            yn, dy, b_lo = {(0, 1): 1}, 1, min(b_exps)
+            windows = ((0, 0), (b_lo, max(b_exps)))
         else:
-            yn, dy = _numerators(_as_poly(q2)._terms)
-            b_top = max(b_exps)
+            (yn, dy), b_lo, b_top = _numerators(_as_poly(q2)._terms), 0, max(b_exps)
             windows = (_window(yn, 0, b_top), _window(yn, 1, b_top))
         # t runs along the variable that the sums over b spread in (q on a
         # tie), so that the powers of y and the groups are dense rows.
@@ -374,37 +374,25 @@ class PolyQQ:
         lo = x_lo + windows[fast][0]
         stride = x_hi + windows[fast][1] - lo + 1
         w_q, w_q2 = (1, stride) if fast == 0 else (stride, 1)
-        # One pair per q2-exponent b: the kept q2^b or y^b, and the
+        # One triple per q2-exponent b: the row 1, the power of y, and the
         # coefficients of x^0, x^1, ... that go with it.
         by_b: dict[int, list[int]] = {}
         for (a, b), c in nums.items():
             by_b.setdefault(b, [0] * (a_top + 1))[a] = c
-        if q2 is None:
-            pairs = [((b * w_q2, [1]), coeffs) for b, coeffs in by_b.items()]
-        else:
-            y_row = _dense({a * w_q + b * w_q2: c for (a, b), c in yn.items()})
-            powers = [(0, [1])]
-            for _ in range(b_top):
-                powers.append(_mul(powers[-1], y_row))
-            pairs = [(powers[b], [c * dy ** (b_top - b) for c in coeffs]) for b, coeffs in by_b.items()]
-            d *= dy**b_top
+        pairs = [([1], b - b_lo, coeffs) for b, coeffs in by_b.items()]
         x_row = _dense({a * w_q + b * w_q2: c for (a, b), c in xn.items()})
-        out, scale = _horner(pairs, x_row, dx)
+        y_row = _dense({a * w_q + b * w_q2: c for (a, b), c in yn.items()})
+        (start, row), scale = _horner(pairs, x_row, dx, y_row, dy)
+        start += b_lo * w_q2
         d *= scale
-        start, row = out
         unpacked: dict[ExpPair, Coeff] = {}
-        # One slice of the row per exponent of the other variable.
-        first = (start - lo) // stride
-        last = (start + len(row) - 1 - lo) // stride
-        for slow in range(first, last + 1):
-            i0 = max(lo + slow * stride - start, 0)
-            i1 = min(lo + (slow + 1) * stride - start, len(row))
-            for f, c in enumerate(row[i0:i1], start + i0 - slow * stride):
-                if c:
-                    if d != 1:
-                        whole, r = divmod(c, d)
-                        c = Fraction(c, d) if r else whole
-                    unpacked[(f, slow) if fast == 0 else (slow, f)] = c
+        for e, c in enumerate(row, start - lo):
+            if c:
+                slow, f = divmod(e, stride)
+                if d != 1:
+                    whole, r = divmod(c, d)
+                    c = Fraction(c, d) if r else whole
+                unpacked[(f + lo, slow) if fast == 0 else (slow, f + lo)] = c
         return _wrap(unpacked)
 
     # -- rendering ----------------------------------------------------------
@@ -457,67 +445,76 @@ def _dense(terms: dict[int, int]) -> _Row:
     return start, row
 
 
-def _mul(u: _Row, v: _Row) -> _Row:
-    """The product of two rows: a convolution, looping over the shorter one."""
-    (su, ru), (sv, rv) = u, v
-    if len(ru) < len(rv):
-        ru, rv = rv, ru
-    if not rv:
-        return 0, []
-    n = len(ru)
-    out = [rv[0] * t for t in ru] + [0] * (len(rv) - 1)
-    for j in range(1, len(rv)):
-        c = rv[j]
-        if c == 1:
-            out[j:j + n] = map(add, out[j:j + n], ru)
-        elif c == -1:
-            out[j:j + n] = map(sub, out[j:j + n], ru)
-        elif c:
-            out[j:j + n] = [s + c * t for s, t in zip(out[j:j + n], ru)]
-    return su + sv, out
+def _unpack(packed: int, w: int, n: int) -> list[int]:
+    """The n balanced base-2^w digits of packed, each in [-2^(w-1), 2^(w-1)), lowest first.
 
-
-def _add(u: _Row | None, v: _Row, c: int) -> _Row:
-    """u + c*v, with None for a zero u.
-
-    u's list is updated in place when v fits inside it: every u that _horner
-    passes is a list it built itself.  v is only read, so it may be a
-    caller's tuple (a narayana_row) or a power of y.
+    ArithmeticError if packed has a digit past the n-th: a short n never cuts a result off.
     """
-    sv, rv = v
-    if u is None:
-        return sv, [c * t for t in rv]
-    su, ru = u
-    i = sv - su
-    if i < 0 or i + len(rv) > len(ru):
-        start = min(su, sv)
-        ru = [0] * (su - start) + ru + [0] * (sv + len(rv) - su - len(ru))
-        su, i = start, sv - start
-    if len(rv) == 1:
-        ru[i] += c * rv[0]
-    else:
-        ru[i:i + len(rv)] = [s + c * t for s, t in zip(ru[i:i + len(rv)], rv)]
-    return su, ru
+    half = 1 << (w - 1)
+    # Adding half to every slot makes each digit a plain w-bit field.
+    biased = packed + half * (((1 << w * n) - 1) // ((1 << w) - 1))
+    if biased >> w * n:
+        raise ArithmeticError("packed value has a digit past its last slot")
+    mask = (1 << w) - 1
+    return [((biased >> i) & mask) - half for i in range(0, w * n, w)]
 
 
-def _horner(terms: list[tuple[_Row, list[int]]], x_row: _Row, dx: int) -> tuple[_Row | None, int]:
-    """sum over the pairs (row, c) of row * sum_m c[m] * (x_row/dx)^m, by Horner's rule.
+def _powers(row: _Row, d: int, n: int, w: int) -> tuple[list[int], int]:
+    """t^(-n*s) * row^m * d^(n-m) for m = 0..n, packed at t = 2^w, and s = min(start, 0).
 
-    From the top m = K down, out = out*x_row + sum of c[m]*dx^(K-m)*row: one
-    _mul per step and one _add per nonzero coefficient.  Returns out (None
-    for zero) and the power of dx it is scaled by (below dx^K when the top
-    coefficients are zero).  The package's one Horner loop.
+    A Laurent row t^start * R is shifted up: its m-th power is
+    (t^(start-s) * R)^m * (d * t^(-s))^(n-m), and t^(n*s) is the caller's.
     """
-    out: _Row | None = None
-    scale = 1
-    for m in range(max((len(c) for _, c in terms), default=0) - 1, -1, -1):
-        if out is not None:
-            out = _mul(out, x_row)
-            scale *= dx
-        for row, coeffs in terms:
-            if m < len(coeffs) and coeffs[m]:
-                out = _add(out, row, coeffs[m] * scale)
-    return out, scale
+    if not n:
+        return [1], 0
+    start, coeffs = row
+    s = min(start, 0)
+    x = sum(map(lshift, coeffs, range(0, w * len(coeffs), w))) << w * (start - s)
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+    if d != 1 or s:
+        step, scale = d << w * -s, 1
+        for m in range(n - 1, -1, -1):
+            scale *= step
+            powers[m] *= scale
+    return powers, s
+
+
+def _horner(terms: list, x_row: _Row, dx: int, y_row: _Row = (0, [1]), dy: int = 1) -> tuple[_Row, int]:
+    """sum over (row, b, c) of row * (y/dy)^b * sum_m c[m] * (x/dx)^m, times dx^K * dy^B.
+
+    Each row is the ints at t^0, t^1, ...; K+1 is the longest c, B the
+    largest b.  Returns the sum as a row, and dx^K * dy^B.  Every row is
+    packed into one int at t = 2^w, the powers of x and y are built once,
+    each pair's inner sum is one sum(map(mul, c, powers)), and the total's
+    digits are read once.  w comes from a bound on every output coefficient:
+    the sum over the pairs of |row|_1 * max|c|, times
+    (|x|_1 + dx)^K * (|y|_1 + dy)^B, with |.|_1 the sum of absolute values.
+    """
+    (sx, rx), (sy, ry) = x_row, y_row
+    x_top, y_top = max(sx + len(rx) - 1, 0), max(sy + len(ry) - 1, 0)
+    top = big_b = bound = length = 0
+    for row, b, coeffs in terms:
+        bound += sum(map(abs, row)) * max(map(abs, coeffs))
+        k = len(coeffs) - 1
+        if k > top:
+            top = k
+        if b > big_b:
+            big_b = b
+        n = len(row) + k * x_top + b * y_top
+        if n > length:
+            length = n
+    w = (bound * (sum(map(abs, rx)) + dx) ** top * (sum(map(abs, ry)) + dy) ** big_b).bit_length() + 1
+    x_powers, s = _powers(x_row, dx, top, w)
+    y_powers, u = _powers(y_row, dy, big_b, w)
+    # Slot i of the total holds the coefficient of t^(lo + i).
+    lo = top * s + big_b * u
+    slots = range(0, w * (length - lo), w)
+    total = 0
+    for row, b, coeffs in terms:
+        total += sum(map(lshift, row, slots)) * y_powers[b] * sum(map(mul, coeffs, x_powers))
+    return (lo, _unpack(total, w, length - lo)), dx**top * dy**big_b
 
 
 def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> PolyQQ:
@@ -525,15 +522,11 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
 
     Each row_k is the int coefficients of q^0, q^1, ... ((c,) for a
     constant); the convolution identities pass their pairs as they build
-    them.  x is scaled once to integer numerators, _horner sums, and one
-    PolyQQ is built at the end.
+    them.  x is scaled once to integer numerators, and _horner sums.
     """
     xn, dx = _numerators(x._terms)
     x_row = _dense({a: c for (a, _), c in xn.items()})
-    out, d = _horner([((0, row), coeffs) for row, coeffs in terms], x_row, dx)
-    if out is None:
-        return _ZERO
-    start, row = out
+    (start, row), d = _horner([(row, 0, coeffs) for row, coeffs in terms], x_row, dx)
     if d == 1:
         return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})

@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from itertools import accumulate
 from math import comb
 
-from .lambdaring import HSequence
+from .lambdaring import POWER_SUM_CAP, HSequence
 from .partitions import Partition
 from .poly import PolyQQ
 from .rationals import gen_binomial
@@ -172,13 +172,13 @@ def master_formula(eta: int, zeta: int, r: int) -> PolyQQ:
 @cache
 def narayana_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Narayana polynomials."""
-    return HSequence(narayana)
+    return HSequence(narayana, cap=POWER_SUM_CAP)
 
 
 @cache
 def catalan_hsequence() -> HSequence:
     """The formal alphabet whose complete functions are the Catalan numbers."""
-    return HSequence(catalan)
+    return HSequence(catalan, cap=POWER_SUM_CAP)
 
 
 def narayana_power_sum(r: int) -> PolyQQ:

@@ -80,6 +80,19 @@ def test_table_at_q(capsys):
     assert main(["table", "catalan", "--max-n", "3", "--at-q", "2"]) == 2
 
 
+def test_table_at_a_negative_point_in_either_spelling(capsys):
+    # argparse reads "-1/2" as an option unless it is joined to --at-q.
+    for at, rows in (("-1/2", ["0: 1", "1: 1", "2: 1/2", "3: -1/4"]), ("-2", ["0: 1", "1: 1", "2: -1", "3: -1"])):
+        for argv in (["--at-q", at], ["--at", at], [f"--at-q={at}"]):
+            assert main(["table", "narayana", "--max-n", "3", *argv]) == 0, argv
+            assert capsys.readouterr().out.splitlines() == rows, argv
+    # Every check of the value holds in both spellings.
+    for at in ("-1/0", "-0.5", "-1/2.0", "-", "--max-n", "-" + "9" * 21 + "/2"):
+        for argv in (["--at-q", at], [f"--at-q={at}"]):
+            assert exit_code(["table", "narayana", "--max-n", "3", *argv]) == 2, argv
+    assert exit_code(["table", "narayana", "--max-n", "3", "--at-q"]) == 2
+
+
 def test_table_cap(capsys):
     assert main(["table", "narayana", "--max-n", "201"]) == 2
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from narayana_lab.poly import ExactDivisionError, PolyQQ
+from narayana_lab import poly
+from narayana_lab.poly import ExactDivisionError, PolyQQ, _sum_powers, _unpack
 
 Q = PolyQQ.var_q()
 Q2 = PolyQQ.var_q2()
@@ -153,3 +154,23 @@ def test_constants_hash_as_their_values():
     assert {Q * 0 + 4: "four"}[4] == "four"
     # Non-constant values keep the structural hash.
     assert hash(Q + 1) == hash(PolyQQ({(1, 0): 1, (0, 0): 1}))
+
+
+def test_unpack_raises_on_a_digit_past_the_last_slot(monkeypatch):
+    # Balanced digits at w = 8 lie in [-128, 128).  A packed value read with
+    # fewer digits than it has raises; it never comes back cut off.
+    w = 8
+    for row in ([3, -128, 127, 1], [0, 0, -1], [5, 0, 0, 0, 0, 127], [-128]):
+        packed = sum(c << w * i for i, c in enumerate(row))
+        assert _unpack(packed, w, len(row)) == row
+        assert _unpack(packed, w, len(row) + 2) == row + [0, 0]
+        with pytest.raises(ArithmeticError):
+            _unpack(packed, w, len(row) - 1)
+    assert _unpack(0, w, 0) == []
+    # The same inside the kernel: a length one short raises.
+    real = poly._unpack
+    monkeypatch.setattr(poly, "_unpack", lambda packed, w, n: real(packed, w, n - 1))
+    with pytest.raises(ArithmeticError):
+        _sum_powers([((1, 2), [3, 4])], Q - 1)
+    with pytest.raises(ArithmeticError):
+        (Q**2 * Q2 + 1).subst_q(ONE - Q)

@@ -26,6 +26,7 @@ q, q2 = sympy.symbols("q q2")
 Q = PolyQQ.var_q()
 Q2 = PolyQQ.var_q2()
 ONE = PolyQQ.one()
+BIG = 10**199 + 1  # 200 digits
 
 
 def to_sympy(p: PolyQQ):
@@ -223,8 +224,8 @@ def test_column_kernel_against_sympy():
     # different lengths, some coefficients zero (all of them, in some sums).
     rng = random.Random(53)
     bases = [Q - 1, ONE - Q, Q * Fraction(2, 3) + Fraction(1, 4), PolyQQ.monomial(3, -1) + Q]
+    sums = []
     for i in range(32):
-        base = bases[i % len(bases)]
         zeros = rng.choice((0.2, 0.5, 1.0))
         terms = [
             (
@@ -233,6 +234,40 @@ def test_column_kernel_against_sympy():
             )
             for _ in range(rng.randint(1, 6))
         ]
+        sums.append((terms, bases[i % len(bases)]))
+    # At the edge of the slot width, which _horner takes from the bound
+    # sum_k |row_k|_1 * max|c_k| * (|x|_1 + dx)^K on every output coefficient.
+    # With K = 0 and rows whose one entry is at the top, the top coefficient
+    # is the bound itself; with x = q+1 and positive numbers nothing cancels.
+    sums += [
+        ([((0, 0, 5), [7]), ((0, 0, 9), [2])], Q + 1),
+        ([((0, 2**40), [2**40]), ((0, 1), [1])], Q + 1),
+        ([((0, BIG), [BIG]), ((0, 3), [10**150])], Q + 1),
+        (
+            [
+                (tuple(rng.randint(1, 10**6) for _ in range(rng.randint(1, 25))),
+                 [rng.randint(1, 10**6) for _ in range(rng.randint(1, 22))])
+                for _ in range(4)
+            ],
+            Q + 1,
+        ),
+        # Both signs, each near its end of the slot: -bound+1 and 1, then bound-1 and -1.
+        ([((0, BIG), [-BIG]), ((1,), [1])], Q + 1),
+        ([((BIG,), [BIG - 1]), ((0, 1), [-1])], ONE - Q),
+        # 200-digit rows and coefficients over x = q-1.
+        (
+            [(tuple(rng.randint(-BIG, BIG) for _ in range(9)), [rng.randint(-BIG, BIG) for _ in range(12)]) for _ in range(3)],
+            Q - 1,
+        ),
+        # Laurent bases over a denominator: (3/2)/q + q/3, and 5/q^2 - 1/7.
+        ([((4, -1, 2), [3, 0, -2, 9]), ((1,), [5, 1])], PolyQQ.monomial(Fraction(3, 2), -1) + Q * Fraction(1, 3)),
+        ([((BIG, 2), [1, -BIG, 3])], PolyQQ.monomial(5, -2) - Fraction(1, 7)),
+        # Zero sums: zero coefficients, and rows that cancel: 1 + (q-1) - q.
+        ([((1, 2), [0, 0]), ((0, 5), [0])], Q - 1),
+        ([((1,), [1, 1]), ((0, 1), [-1])], Q - 1),
+        ([((BIG, 1), [2, BIG]), ((BIG, 1), [-2, -BIG])], ONE - Q),
+    ]
+    for terms, base in sums:
         want = RING.zero
         for row, coeffs in terms:
             inner = sum((c * to_ring(base) ** m for m, c in enumerate(coeffs)), RING.zero)
@@ -350,6 +385,18 @@ def random_table(rng: random.Random, degree: int, rational: bool) -> PolyQQ:
 
 
 DEGREES = (0, 1, 2, 5, 9, 16, 23, 30)
+# A Laurent replacement over a denominator in each variable: (3/2)/q + q/3
+# and q2/5 - 2/q2.
+LAURENT_X = PolyQQ.monomial(Fraction(3, 2), -1) + Q * Fraction(1, 3)
+LAURENT_Y = Q2 * Fraction(1, 5) - PolyQQ.monomial(2, 0, -1)
+
+
+def positive(p: PolyQQ) -> PolyQQ:
+    return PolyQQ({exps: abs(c) for exps, c in p.items()})
+
+
+def scaled(p: PolyQQ, c: int) -> PolyQQ:
+    return PolyQQ({exps: v * c for exps, v in p.items()})
 
 
 def test_subst_q_kernel_one_variable_against_sympy():
@@ -363,6 +410,28 @@ def test_subst_q_kernel_one_variable_against_sympy():
                 assert isinstance(got, PolyQQ)
                 assert dict(got.items()) == ring_subst(p, x), (p, x)
                 assert_canonical(got)
+    # At the edge of the slot width (see _horner).  One term c*q2^b makes
+    # the bound |c| and the result c*q2^b; with x = q+1 and positive
+    # coefficients nothing cancels.  Then both signs, 200-digit coefficients,
+    # a Laurent x over a denominator, and results that cancel to zero.
+    edges = [
+        (PolyQQ.const(BIG), Q + 1),
+        (PolyQQ.monomial(-BIG, 0, 3), Q + 1),
+        (PolyQQ.monomial(2**64, 0, -2), ONE - Q),
+        (positive(random_row(rng, 30, False, True)), Q + 1),
+        (positive(random_row(rng, 16, True, False)), Q + 1),
+        (PolyQQ({(0, 0): BIG, (0, 1): -BIG, (3, 2): 1}), Q + 1),
+        (scaled(random_row(rng, 23, False, True), BIG), Q - 1),
+        (scaled(random_row(rng, 9, True, True), BIG), LAURENT_X),
+        (random_row(rng, 30, True, True), LAURENT_X),
+        (Q - 1, ONE),
+        (Q2 - Q, Q2),
+        (Q**2 * BIG - Q * 2 * BIG + BIG, ONE),
+    ]
+    for p, x in edges:
+        got = p.subst_q(x)
+        assert dict(got.items()) == ring_subst(p, x), (p, x)
+        assert_canonical(got)
 
 
 def test_subst_q_kernel_two_variables_against_sympy():
@@ -386,6 +455,27 @@ def test_subst_q_kernel_two_variables_against_sympy():
     for x, y in (((Q - 1) * half, (Q + 1) * half), (Q, ONE - Q2), (PolyQQ.monomial(1, -1, 1), Q2 - 1)):
         p = random_table(rng, 30, rational=True)
         assert dict(p.subst_q(x, q2=y).items()) == ring_subst(p, x, y), (x, y)
+    # At the edge of the slot width: a constant is its own bound, positive
+    # tables at x = q+1, y = q2+1 do not cancel; then both signs, 200-digit
+    # coefficients, Laurent x and y over denominators, and zero results.
+    edges = [
+        (PolyQQ.const(BIG), Q + 1, Q2 + 1),
+        (PolyQQ.const(-BIG), LAURENT_X, LAURENT_Y),
+        (positive(random_table(rng, 16, False)), Q + 1, Q2 + 1),
+        (positive(random_table(rng, 9, True)), Q + 1, Q + 1),
+        (PolyQQ({(0, 0): BIG, (1, 0): -BIG, (0, 1): 1}), Q + 1, Q2 + 1),
+        (scaled(random_table(rng, 12, False), BIG), ONE - Q, Q2 - 1),
+        (scaled(random_table(rng, 6, True), BIG), LAURENT_X, LAURENT_Y),
+        (random_table(rng, 16, True), LAURENT_X, Q2),
+        (random_table(rng, 16, False), Q, LAURENT_Y),
+        (Q - Q2, Q, Q),
+        (Q2**2 * 3 + Q2**5, Q + 1, 0),
+        (Q * Q2 - 1, Q * 2, PolyQQ.monomial(Fraction(1, 2), -1)),
+    ]
+    for p, x, y in edges:
+        got = p.subst_q(x, q2=y)
+        assert dict(got.items()) == ring_subst(p, x, y), (p, x, y)
+        assert_canonical(got)
 
 
 def test_subst_q_uses_no_polynomial_arithmetic(monkeypatch):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import narayana_lab
-from narayana_lab.lambdaring import hall_littlewood_principal
+from narayana_lab.identities import VERIFY_MAX_N_CAP, run_suite
+from narayana_lab.lambdaring import POWER_SUM_CAP, HSequence, hall_littlewood_principal
 from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
@@ -187,6 +188,30 @@ def test_catalan_alphabet_power_sums():
     seq = catalan_hsequence()
     for r in range(1, 13):
         assert seq.p(r) == gen_binomial(2 * r - 1, r - 1), r
+
+
+def test_alphabet_power_sums_stop_at_the_cap():
+    # The two alphabets are process-global singletons: p refuses an index
+    # above POWER_SUM_CAP before its table grows, and the cap is the largest
+    # index that thm8 and pa1-central pass at verify's own cap.
+    assert POWER_SUM_CAP == VERIFY_MAX_N_CAP
+    for seq in (narayana_hsequence(), catalan_hsequence()):
+        size = len(seq._p_cache)
+        for n in (POWER_SUM_CAP + 1, 90, 10**9):
+            with pytest.raises(ValueError, match=f"1..{POWER_SUM_CAP}"):
+                seq.p(n)
+            assert len(seq._p_cache) == size
+    assert narayana_hsequence().p(POWER_SUM_CAP) == narayana_power_sum(POWER_SUM_CAP)
+    assert catalan_hsequence().p(POWER_SUM_CAP) == gen_binomial(2 * POWER_SUM_CAP - 1, POWER_SUM_CAP - 1)
+    for id in ("thm8", "pa1-central"):
+        report = run_suite(ids=[id], max_n=VERIFY_MAX_N_CAP)
+        assert report.counts == {"pass": VERIFY_MAX_N_CAP, "fail": 0}, id
+    # A sequence built by a caller keeps its table in the caller's object,
+    # and has no cap unless given one.
+    ones = HSequence(lambda n: PolyQQ.one())
+    assert ones.p(POWER_SUM_CAP + 5) == PolyQQ.one()
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        HSequence(lambda n: PolyQQ.one(), cap=3).p(4)
 
 
 def test_narayana_schur_rectangles():
