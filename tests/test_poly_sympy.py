@@ -4,7 +4,10 @@ subst_q (with and without q2) against substitution, and its dense-row kernel
 on rows of degree up to 30 against PolyElement.compose in sympy's sparse
 ring; the convolution kernel _sum_powers against sums of powers in that ring;
 *, +, -, eval and divexact against sympy's expand, subs and cancel;
-jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det;
+jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det and,
+on Laurent matrices over denominators and at the edges of its packing,
+against DomainMatrix.det over QQ[q, q2]; Schur values at the query cap
+against sympy's integer determinants at three points;
 TruncSeries products and inverses against truncated sympy products, and
 TruncSeries.reverse by composing in sympy.
 """
@@ -14,12 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from narayana_lab.lambdaring import det_fraction_free
+from narayana_lab.dsl import alphabet_of, evaluate, parse
+from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of
 from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
 q, q2 = sympy.symbols("q q2")
@@ -521,6 +526,80 @@ def assert_det_matches_sympy(matrix: list[list[PolyQQ]]) -> None:
     assert_same(det_fraction_free(matrix), sympy.expand(want))
 
 
+DET_RING, DQ, DQ2 = ring("q,q2", sympy.QQ)
+
+
+def ring_det(matrix: list[list[PolyQQ]]) -> dict:
+    """Laurent terms of det(matrix), by DomainMatrix.det over sympy's ring QQ[q, q2].
+
+    Every entry is multiplied by one q^-lo * q2^-lo2, the lowest exponents of
+    the whole matrix, so that it is a polynomial; the determinant then
+    carries that factor n times.
+    """
+    n = len(matrix)
+    exps = [e for row in matrix for entry in row for e, _ in entry.items()] or [(0, 0)]
+    lo, lo2 = min(a for a, _ in exps), min(b for _, b in exps)
+    rows = [
+        [
+            sum(
+                (DQ ** (a - lo) * DQ2 ** (b - lo2) * sympy.QQ(c.numerator, c.denominator)
+                 for (a, b), c in entry.items()),
+                DET_RING.zero,
+            )
+            for entry in row
+        ]
+        for row in matrix
+    ]
+    det = DomainMatrix(rows, (n, n), DET_RING.to_domain()).det()
+    return {
+        (a + n * lo, b + n * lo2): Fraction(int(c.numerator), int(c.denominator))
+        for (a, b), c in det.terms()
+    }
+
+
+def assert_det_matches_ring(matrix: list[list[PolyQQ]]) -> None:
+    got = det_fraction_free(matrix)
+    assert dict(got.items()) == ring_det(matrix), matrix
+    assert_canonical(got)
+
+
+def random_laurent_matrix(
+    rng: random.Random, size: int, rational: bool, scale: int = 1
+) -> list[list[PolyQQ]]:
+    """Entries with up to three terms at q^-2..q^2 * q2^-2..q2^2, about a quarter zero."""
+    def entry():
+        if rng.random() < 0.25:
+            return PolyQQ.zero()
+        return PolyQQ({
+            (rng.randint(-2, 2), rng.randint(-2, 2)): random_coeff(rng, rational) * scale
+            for _ in range(rng.randint(1, 3))
+        })
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+def monomial_permutation_matrix(rng: random.Random, size: int, sign: int) -> list[list[PolyQQ]]:
+    """One Laurent monomial per row and column, with det = sign * B * q^a * q2^b.
+
+    B is the permanent bound prod_i sum_j |N_ij|_1 over the integer numerators
+    N, which such a matrix attains; every other matrix stays below it.
+    """
+    perm = list(range(size))
+    rng.shuffle(perm)
+    coeffs = [Fraction(rng.randint(2, 99), rng.choice((1, 1, 3, 4))) for _ in range(size)]
+    # The permutation's sign times the coefficients' signs gives the sign asked for.
+    parity = sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i]) % 2
+    if (-1) ** parity != sign:
+        coeffs[0] = -coeffs[0]
+    return [
+        [
+            PolyQQ.monomial(coeffs[i], rng.randint(-3, 3), rng.randint(-3, 3))
+            if j == perm[i] else PolyQQ.zero()
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
 def test_det_fraction_free_against_sympy():
     rng = random.Random(53)
     for size in (2, 3, 4, 5):
@@ -540,6 +619,115 @@ def test_det_fraction_free_against_sympy():
     rows[2] = [e * (Q - Q2) for e in rows[0]]
     assert det_fraction_free(rows).is_zero
     assert_det_matches_sympy(rows)
+    # Laurent entries in q and q2, over integers and over denominators, at
+    # every size up to 6; with 200-digit coefficients up to size 4, where one
+    # such matrix takes about 0.2 s (size 6 takes half a minute, see
+    # CHANGES.md).
+    for size in range(1, 7):
+        for rational in (False, True):
+            assert_det_matches_ring(random_laurent_matrix(rng, size, rational))
+            if size <= 4:
+                assert_det_matches_ring(random_laurent_matrix(rng, size, rational, BIG))
+    # Coefficients at +B and -B, B the permanent bound, with and without
+    # denominators, at every size up to 6.
+    for size in range(1, 7):
+        for sign in (1, -1):
+            matrix = monomial_permutation_matrix(rng, size, sign)
+            assert_det_matches_ring(matrix)
+            ((_, c),) = det_fraction_free(matrix).items()
+            assert (c > 0) == (sign > 0)
+    # The top exponent S - 1 of the determinant's q-window, next to q2-terms:
+    # prod (q^a_i + 2*q2 + 1) has q^(sum a_i), and q2 at q^0.
+    diag = [
+        [Q**a + Q2 * 2 + 1 if i == j else PolyQQ.zero() for j in range(3)]
+        for i, a in enumerate((2, 1, 3))
+    ]
+    assert_det_matches_ring(diag)
+    diag[1][0] = PolyQQ.monomial(-5, 0, 1)
+    assert_det_matches_ring(diag)
+    # The smallest-pivot rule swaps at step 0 (|2^w + 2| > 1), and at step 1
+    # (the reduced column holds q + 5 over 1), each flipping the sign once.
+    assert_det_matches_ring([[Q + 2, ONE], [ONE, Q]])
+    assert_det_matches_ring([[Q2 + Q, ONE * 3], [ONE * 2, Q]])
+    assert_det_matches_ring([
+        [ONE, ONE * 2, ONE * 3],
+        [ONE * 2, Q + 9, ONE],
+        [ONE * 3, ONE * 7, Q],
+    ])
+    assert_det_matches_ring([
+        [ONE, PolyQQ.zero(), PolyQQ.zero()],
+        [PolyQQ.zero(), Q + 5, Q2],
+        [PolyQQ.zero(), ONE, Q * Fraction(1, 2)],
+    ])
+    # Zero rows and columns at every position, and singular matrices: rows
+    # that depend on others, and a shape whose window is empty (S < 1).
+    for size in (2, 4, 6):
+        for k in (0, size // 2, size - 1):
+            matrix = random_laurent_matrix(rng, size, True)
+            matrix[k] = [PolyQQ.zero()] * size
+            assert det_fraction_free(matrix).is_zero
+            matrix = random_laurent_matrix(rng, size, True)
+            for row in matrix:
+                row[k] = PolyQQ.zero()
+            assert det_fraction_free(matrix).is_zero
+        matrix = random_laurent_matrix(rng, size, True)
+        matrix[-1] = [
+            a * (Q - PolyQQ.monomial(Fraction(1, 3), 0, -1)) + b * 7
+            for a, b in zip(matrix[0], matrix[-2])
+        ]
+        assert det_fraction_free(matrix).is_zero
+        assert_det_matches_ring(matrix)
+    empty_window = [[Q**3, ONE, ONE], [ONE, PolyQQ.zero(), PolyQQ.zero()], [ONE, PolyQQ.zero(), PolyQQ.zero()]]
+    assert det_fraction_free(empty_window).is_zero
+    assert det_fraction_free([[Q**10 + 1, ONE], [ONE, PolyQQ.zero()]]) == -1
+    # Jacobi-Trudi matrices over two atoms: the window's top q-degree is |mu|.
+    for mu, a in (((3, 2, 2), Alphabet(2, ((4, Q), (-3, Q2)))), ((4, 1, 1, 1), Alphabet(-1, ((5, ONE - Q), (2, Q2))))):
+        l = len(mu)
+        matrix = [
+            [h_of(mu[i] - i + j, a) if mu[i] - i + j >= 0 else PolyQQ.zero() for j in range(l)]
+            for i in range(l)
+        ]
+        assert_det_matches_ring(matrix)
+
+
+def test_det_fraction_free_uses_no_polynomial_arithmetic(monkeypatch):
+    rng = random.Random(71)
+    cases = [random_laurent_matrix(rng, size, True) for size in (1, 3, 5)]
+    cases += [monomial_permutation_matrix(rng, 4, -1), [[Q + 2, ONE], [ONE, Q]]]
+    expected = [ring_det(matrix) for matrix in cases]
+
+    def refuse(*args):
+        raise AssertionError("PolyQQ arithmetic inside det_fraction_free")
+
+    for name in (
+        "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+        "__neg__", "__pow__", "divexact",
+    ):
+        monkeypatch.setattr(PolyQQ, name, refuse)
+    for matrix, want in zip(cases, expected):
+        assert dict(det_fraction_free(matrix).items()) == want
+
+
+# The heaviest Schur values the query language admits (|mu| <= 30, weights
+# and constant at most 30 in absolute value).
+CAP_SCHUR_QUERIES = (
+    "s{19,1,1,1,1,1,1,1,1,1,1,1}[30 + 30*q + 30*q2]",
+    "s{3,3,3,3,3,3,3,3,3,3}[30 + 30*q + 30*Q + 30*q2 + 30*Q2]",
+    "s{5,5,5,5,5,5}[30 + 30*q + 30*Q2]",
+)
+
+
+@pytest.mark.parametrize("text", CAP_SCHUR_QUERIES)
+def test_schur_values_at_the_query_cap(text):
+    # An integer route: the h-matrix at integer points, and sympy's det of it.
+    expr = parse(text)
+    mu, a = expr.partition, alphabet_of(expr.alpha)
+    got = evaluate(expr)
+    l = len(mu)
+    for point in ((2, 3), (-1, 5), (3, -2)):
+        h = [h_of(k, a).eval(*point) for k in range(mu[0] + l)]
+        matrix = sympy.Matrix(l, l, lambda i, j: h[mu[i] - i + j] if mu[i] - i + j >= 0 else 0)
+        assert got.eval(*point) == int(matrix.det())
 
 
 SERIES_RING, SU, SQ, SQ2, SQI, SQ2I = ring("u,q,q2,qi,q2i", sympy.QQ)
