@@ -5,8 +5,8 @@ integer-weighted rank-1 atoms whose values are exact polynomials.  Complete
 functions come from the integer coefficient table of the product form
 (1-u)^-c * prod (1-x*u)^-w of their generating series, substituted once;
 elementary functions from the lambda-ring negation e_n[a] = (-1)^n h_n[-a];
-power sums from the atom values, each by one subst_q; Schur functions from
-the Jacobi-Trudi determinant, which det_fraction_free takes by Bareiss
+power sums directly from the atom values; Schur functions from the
+Jacobi-Trudi determinant, which det_fraction_free takes by Bareiss
 elimination on one packed Python int per entry (Kronecker substitution) and
 decodes once.
 """
@@ -16,12 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import inf, lcm
-from operator import itemgetter, sub
 from typing import Callable, Sequence
 
 from .partitions import Partition, composition_multiplicity
-from .poly import Coeff, PolyQQ, _as_poly, _quotient, _unpack, _wrap
+from .poly import Coeff, PolyQQ, _as_poly, _det
 from .rationals import gen_binomial
 from .series import TruncSeries
 
@@ -174,16 +172,12 @@ def h_series(a: Alphabet, order: int) -> TruncSeries:
 
 
 def p_of(n: int, a: Alphabet) -> PolyQQ:
-    """Power sum p_n at the point a: the constant plus weighted n-th powers.
-
-    Each atom's c*x^n is the monomial c*q^n with subst_q(x), the one route
-    of every power sum in the package.
-    """
+    """Power sum p_n at the point a: the constant plus weighted n-th powers."""
     if n < 1:
         raise ValueError("p_of needs n >= 1")
     out = PolyQQ.const(a.constant)
     for coeff, value in a.atoms:
-        out = out + PolyQQ.monomial(coeff, n).subst_q(value)
+        out = out + value**n * coeff
     return out
 
 
@@ -208,103 +202,13 @@ def jacobi_trudi(h_at: Callable[[int], PolyQQ], mu: Partition) -> PolyQQ:
 def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
     """Determinant by Bareiss elimination on one packed Python int per entry.
 
-    The entries are scaled once to integer numerators N over the lcm d of
-    their denominators, and row i and column j are shifted by q^(r_i + c_j),
-    and likewise in q2, so that every exponent is >= 0: r_i is the row's
-    lowest exponent and c_j = min_i(lo_ij - r_i).  With R_i the row's top
-    exponent and C_j = max_i(hi_ij - R_i), every Leibniz term has its
-    exponent in [0, S), S = sum R + sum C - sum r - sum c + 1 (|mu| + 1 for
-    a Jacobi-Trudi matrix); S <= 0 means every term has a zero factor.  The
-    ring map q -> t, q2 -> t^S, t -> 2^w packs each entry into one int, and
-    a ring map commutes with det.  w comes from the permanent bound
-    prod_i sum_j |N_ij|_1 on every coefficient of det(N), plus one bit for
-    the sign.  Bareiss runs on the ints: each step swaps in the row whose
-    entry in the pivot column is smallest in absolute value (flipping the
-    sign), and divides exactly by the previous pivot.  The last entry is
-    decoded once by _unpack, divided by d^n and shifted back.
+    The entries are scaled to integer numerators over one denominator,
+    shifted row by row and column by column so that every exponent is >= 0,
+    and packed by the ring map q -> t, q2 -> t^S, t -> 2^w, which commutes
+    with det; poly._det runs Bareiss on the ints (smallest pivot first,
+    exact divisions by a 2-adic inverse) and decodes the last entry once.
     """
-    n = len(matrix)
-    if n == 0:
-        return PolyQQ.one()
-    nums = [[dict(entry.items()) for entry in row] for row in matrix]
-    d = lcm(*[c.denominator for row in nums for t in row for c in t.values() if type(c) is not int])
-    if d != 1:
-        nums = [
-            [{e: c.numerator * (d // c.denominator) for e, c in t.items()} for t in row]
-            for row in nums
-        ]
-    if not all(map(any, nums)) or not all(map(any, zip(*nums))):
-        return PolyQQ.zero()
-    # The lowest and highest exponent of q, then of q2, of each entry.
-    ranges = [[_ranges(t) for t in row] for row in nums]
-    r, c, stride = _shifts(ranges, 0)
-    r2, c2, span2 = _shifts(ranges, 2)
-    if stride < 1 or span2 < 1:
-        return PolyQQ.zero()
-    bound = 1
-    for row in nums:
-        bound *= sum(sum(map(abs, t.values())) for t in row)
-    w = bound.bit_length() + 1
-    row_shift = [a + stride * b for a, b in zip(r, r2)]
-    col_shift = [a + stride * b for a, b in zip(c, c2)]
-    m = [
-        [
-            sum(v << w * (a + stride * b - shift - cs) for (a, b), v in t.items())
-            for t, cs in zip(row, col_shift)
-        ]
-        for row, shift in zip(nums, row_shift)
-    ]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        nonzero = [i for i in range(k, n) if m[i][k]]
-        if not nonzero:
-            return PolyQQ.zero()
-        p = min(nonzero, key=lambda i: abs(m[i][k]))
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1:]:
-            x = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - x * top[j]) // prev
-        prev = pivot
-    digits = _unpack(sign * m[-1][-1], w, stride * span2)
-    lo, lo2, dn = sum(r) + sum(c), sum(r2) + sum(c2), d**n
-    out: dict[tuple[int, int], Coeff] = {}
-    for b in range(span2):
-        for a, v in enumerate(digits[b * stride:(b + 1) * stride], lo):
-            if v:
-                out[(a, b + lo2)] = v if dn == 1 else _quotient(v, dn)
-    return _wrap(out)
-
-
-# The range of a zero entry: min and max pass over it.
-_NO_RANGE = (inf, -inf, inf, -inf)
-
-
-def _ranges(terms: dict) -> tuple[int, int, int, int]:
-    if not terms:
-        return _NO_RANGE
-    a, b = zip(*terms)
-    return min(a), max(a), min(b), max(b)
-
-
-def _shifts(ranges: list[list], axis: int) -> tuple[list[int], list[int], int]:
-    """Row shifts r_i, column shifts c_j and the span S of one variable's exponent.
-
-    ranges holds each entry's lowest and highest exponent at axis and
-    axis + 1, and no row or column is all zero.  Every exponent of entry
-    (i, j), less r_i + c_j, is >= 0, and every Leibniz term has its
-    exponent, so shifted, in [0, S).
-    """
-    lo = [list(map(itemgetter(axis), row)) for row in ranges]
-    hi = [list(map(itemgetter(axis + 1), row)) for row in ranges]
-    r, top = list(map(min, lo)), list(map(max, hi))
-    c = [min(map(sub, col, r)) for col in zip(*lo)]
-    big_c = [max(map(sub, col, top)) for col in zip(*hi)]
-    return r, c, sum(top) + sum(big_c) - sum(r) - sum(c) + 1
+    return _det(matrix)
 
 
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:

@@ -10,14 +10,15 @@ nothing copied, for an integer polynomial), the kernel accumulates ints, and a
 Fraction is built once per output value, at the boundary.  Every power sum,
 from subst_q or from _sum_powers, is summed by one kernel, _horner, which packs
 each dense int row into one int at t = 2^w (Kronecker substitution), so that
-the sum runs in CPython's bigint arithmetic.
+the sum runs in CPython's bigint arithmetic.  Determinants are taken the same
+way: _det packs each entry into one int and runs Bareiss elimination on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import lshift, mul
+from math import inf, lcm, log2
+from operator import add, itemgetter, lshift, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 Coeff = int | Fraction
@@ -530,6 +531,184 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
     if d == 1:
         return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
+
+
+def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
+    """det(matrix) by Bareiss elimination on one packed int per entry.
+
+    The entries are scaled once to integer numerators N over the lcm d of
+    their denominators.  Row i and column j are shifted by q^(r_i + c_j),
+    and likewise in q2, so that every exponent is >= 0: r_i is the row's
+    lowest exponent and c_j = min_i(lo_ij - r_i).  With R_i the row's top
+    exponent and C_j = max_i(hi_ij - R_i), every Leibniz term has its
+    exponent in [0, S), S = sum R + sum C - sum r - sum c + 1 (|mu| + 1 for
+    a Jacobi-Trudi matrix); S <= 0 means every term has a zero factor.  The
+    ring map q -> t, q2 -> t^S, t -> 2^w packs each entry into one int, and
+    a ring map commutes with det.  w is one bit more than a bound on the
+    permanent of the |N_ij|_1, which bounds every coefficient of det(N).
+    Each step swaps in the row whose entry in the pivot column is smallest
+    in absolute value (flipping the sign), and divides exactly by the
+    previous pivot, by a product with its 2-adic inverse (_divide_exactly).
+    The last entry is decoded once by _unpack, divided by d^n and shifted
+    back.
+    """
+    n = len(matrix)
+    if n == 0:
+        return _ONE
+    nums = [[entry._terms for entry in row] for row in matrix]
+    d = lcm(*[c.denominator for row in nums for t in row for c in t.values() if type(c) is not int])
+    if d != 1:
+        nums = [
+            [{e: c.numerator * (d // c.denominator) for e, c in t.items()} for t in row]
+            for row in nums
+        ]
+    if not all(map(any, nums)) or not all(map(any, zip(*nums))):
+        return _ZERO
+    # The lowest and highest exponent of q, then of q2, of each entry.
+    ranges = [[_ranges(t) for t in row] for row in nums]
+    r, c, stride = _shifts(ranges, 0)
+    r2, c2, span2 = _shifts(ranges, 2)
+    if stride < 1 or span2 < 1:
+        return _ZERO
+    w = _permanent_bound([[sum(map(abs, t.values())) for t in row] for row in nums]).bit_length() + 1
+    row_shift = [a + stride * b for a, b in zip(r, r2)]
+    col_shift = [a + stride * b for a, b in zip(c, c2)]
+    m = [
+        [
+            sum(v << w * (a + stride * b - shift - cs) for (a, b), v in t.items())
+            for t, cs in zip(row, col_shift)
+        ]
+        for row, shift in zip(nums, row_shift)
+    ]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        nonzero = [i for i in range(k, n) if m[i][k]]
+        if not nonzero:
+            return _ZERO
+        p = min(nonzero, key=lambda i: abs(m[i][k]))
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        rest = top[k + 1:]
+        for row in m[k + 1:]:
+            x = row[k]
+            row[k + 1:] = [pivot * y - x * z for y, z in zip(row[k + 1:], rest)]
+        if prev != 1:
+            _divide_exactly(m[k + 1:], k + 1, prev)
+        prev = pivot
+    digits = _unpack(sign * m[-1][-1], w, stride * span2)
+    lo, lo2, dn = sum(r) + sum(c), sum(r2) + sum(c2), d**n
+    out: dict[ExpPair, Coeff] = {}
+    for b in range(span2):
+        for a, v in enumerate(digits[b * stride:(b + 1) * stride], lo):
+            if v:
+                out[(a, b + lo2)] = v if dn == 1 else _quotient(v, dn)
+    return _wrap(out)
+
+
+# The range of a zero entry: min and max pass over it.
+_NO_RANGE = (inf, -inf, inf, -inf)
+
+
+def _ranges(terms: dict[ExpPair, int]) -> tuple[int, int, int, int]:
+    if not terms:
+        return _NO_RANGE
+    a, b = zip(*terms)
+    return min(a), max(a), min(b), max(b)
+
+
+def _shifts(ranges: list[list], axis: int) -> tuple[list[int], list[int], int]:
+    """Row shifts r_i, column shifts c_j and the span S of one variable's exponent.
+
+    ranges holds each entry's lowest and highest exponent at axis and
+    axis + 1, and no row or column is all zero.  Every exponent of entry
+    (i, j), less r_i + c_j, is >= 0, and every Leibniz term has its
+    exponent, so shifted, in [0, S).
+    """
+    lo = [list(map(itemgetter(axis), row)) for row in ranges]
+    hi = [list(map(itemgetter(axis + 1), row)) for row in ranges]
+    r, top = list(map(min, lo)), list(map(max, hi))
+    c = [min(map(sub, col, r)) for col in zip(*lo)]
+    big_c = [max(map(sub, col, top)) for col in zip(*hi)]
+    return r, c, sum(top) + sum(big_c) - sum(r) - sum(c) + 1
+
+
+def _permanent_bound(a: list[list[int]]) -> int:
+    """An int at least the permanent of the n x n matrix a >= 0, no row or column zero.
+
+    For any column weights g_j > 0, per(a) = per(a * diag(g)) / prod g, and
+    a permanent is at most the product of its row sums.  With g_j = 2^-e_j
+    the bound is prod_i (sum_j a_ij * 2^(E - e_j)) / 2^(n*E - sum e), E = max e,
+    taken exactly in ints, so any e gives a proven bound.  e = 0 is the
+    plain product of row sums, which overshoots when entries grow along the
+    rows, as a Jacobi-Trudi matrix's do: by 415 against 169 bits for the
+    12 x 12 h-matrix of s{6,6,6,4,1^8}[30 - 30q + 30q2].  e comes from n - 2
+    rounds of Sinkhorn balancing on bit lengths (185 bits there), each
+    moving e_j by log2 of column j's share of the row sums.  A round takes
+    n^2 float steps, where the elimination takes n^3 int products.
+    """
+    bits = [[x.bit_length() for x in row] for row in a]
+    e = [0] * len(a)
+    for _ in range(len(a) - 2):
+        sums = [_log2_sum([b - y for b, y in zip(row, e) if b]) for row in bits]
+        moves = [
+            round(_log2_sum([b - y - s for b, s in zip(col, sums) if b]))
+            for col, y in zip(zip(*bits), e)
+        ]
+        if not any(moves):
+            break
+        e = list(map(add, e, moves))
+    big = max(e)
+    total = 1
+    for row in a:
+        total *= sum(x << big - y for x, y in zip(row, e))
+    # The permanent is an int, so it is at most the floor of the bound.
+    return total >> len(a) * big - sum(e)
+
+
+def _log2_sum(logs: list[float]) -> float:
+    """log2 of sum 2^v over v in logs, which is not empty."""
+    top = max(logs)
+    return top + log2(sum(2.0 ** (v - top) for v in logs))
+
+
+def _divide_exactly(rows: list[list[int]], start: int, divisor: int) -> None:
+    """Divide every entry of rows from column start by divisor, which divides each exactly.
+
+    divisor = 2^v * o with o odd, and a quotient q with |q| < 2^(k-1) is
+    (a >> v) * o^-1 modulo 2^k, read as a signed k-bit number: one product,
+    where CPython's long division is quadratic in the length.  o^-1 is taken
+    once, modulo 2^k for the widest quotient.
+    """
+    v = (divisor & -divisor).bit_length() - 1
+    odd = divisor >> v
+    size = odd.bit_length()
+    widest = max(x.bit_length() for row in rows for x in row[start:])
+    inverse = _inverse_mod_2k(odd, widest - v - size + 2)
+    for row in rows:
+        for j in range(start, len(row)):
+            a = row[j] >> v
+            if a:
+                # |a / o| < 2^(bits(a) - bits(o) + 1) = 2^(k-1).
+                k = a.bit_length() - size + 2
+                mask = (1 << k) - 1
+                q = (a & mask) * (inverse & mask) & mask
+                row[j] = q - (q >> k - 1 << k)
+
+
+def _inverse_mod_2k(x: int, k: int) -> int:
+    """An inverse of the odd x modulo 2^k, by Newton's step y <- y(2 - xy).
+
+    x is its own inverse modulo 8, and each step doubles the bits that are right.
+    """
+    y, bits = x & 7, 3
+    while bits < k:
+        bits *= 2
+        mask = (1 << bits) - 1
+        y = y * (2 - (x & mask) * y) & mask
+    return y
 
 
 def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:

@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
 from narayana_lab import poly
-from narayana_lab.poly import ExactDivisionError, PolyQQ, _sum_powers, _unpack
+from narayana_lab.poly import (
+    ExactDivisionError,
+    PolyQQ,
+    _divide_exactly,
+    _inverse_mod_2k,
+    _permanent_bound,
+    _sum_powers,
+    _unpack,
+)
 
 Q = PolyQQ.var_q()
 Q2 = PolyQQ.var_q2()
@@ -174,3 +184,57 @@ def test_unpack_raises_on_a_digit_past_the_last_slot(monkeypatch):
         _sum_powers([((1, 2), [3, 4])], Q - 1)
     with pytest.raises(ArithmeticError):
         (Q**2 * Q2 + 1).subst_q(ONE - Q)
+
+
+def permanent(a: list[list[int]]) -> int:
+    return sum(prod(row[j] for row, j in zip(a, perm)) for perm in permutations(range(len(a))))
+
+
+def test_permanent_bound_against_the_permanent():
+    rng = random.Random(17)
+    for n in range(1, 7):
+        for _ in range(20):
+            top = rng.choice((1, 9, 10**6, 2**300))
+            a = [[rng.choice((0, rng.randint(1, top))) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                a[i][i] = a[i][i] or 1
+            assert _permanent_bound(a) >= permanent(a), a
+        # Entries that grow along the rows, as a Jacobi-Trudi matrix's norms
+        # |h_(mu_i - i + j)|_1 do: from n = 3 on, where balancing starts, the
+        # bound stays within n + 2 bits of the permanent, where the plain
+        # product of row sums overshoots by about n^2/2 entry ratios.
+        mu = sorted((rng.randint(0, 8) for _ in range(n)), reverse=True)
+        a = [[90 ** (mu[i] - i + j) if mu[i] - i + j >= 0 else 0 for j in range(n)] for i in range(n)]
+        if n >= 3:
+            per = permanent(a)
+            assert per <= _permanent_bound(a) < per << n + 2, (mu, a)
+        # A monomial permutation matrix attains the bound.
+        perm = list(range(n))
+        rng.shuffle(perm)
+        a = [[rng.randint(1, 2**200) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        assert _permanent_bound(a) == permanent(a)
+
+
+def test_exact_division_by_a_2_adic_inverse():
+    rng = random.Random(29)
+    for k in (1, 2, 3, 4, 7, 64, 65, 1000, 5000):
+        for _ in range(5):
+            x = rng.getrandbits(rng.randint(1, 2 * k)) | 1
+            assert x * _inverse_mod_2k(x, k) % (1 << k) == 1
+    for _ in range(300):
+        bits = rng.choice((1, 5, 30, 31, 64, 200, 3000))
+        v = rng.choice((0, 0, 1, 5, 64, 300))
+        divisor = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1) << v
+        quotients = [
+            [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((0, 1, 8, bits, 4 * bits))) for _ in range(3)]
+            for _ in range(2)
+        ]
+        rows = [[7] + [q * divisor for q in row] for row in quotients]
+        _divide_exactly(rows, 1, divisor)
+        assert rows == [[7] + row for row in quotients], (divisor, quotients)
+    # The quotients at the edges of their signed width: +-2^(k-1) - 1 and -2^(k-1).
+    for divisor in (3, -3, 12, 2**70 + 1):
+        quotients = [[2**40 - 1, -(2**40), -(2**40) + 1, 1, -1, 0]]
+        rows = [[q * divisor for q in quotients[0]]]
+        _divide_exactly(rows, 0, divisor)
+        assert rows == quotients

@@ -621,7 +621,7 @@ def test_det_fraction_free_against_sympy():
     assert_det_matches_sympy(rows)
     # Laurent entries in q and q2, over integers and over denominators, at
     # every size up to 6; with 200-digit coefficients up to size 4, where one
-    # such matrix takes about 0.2 s (size 6 takes half a minute, see
+    # such matrix takes about 0.2 s (size 6 takes about 10 s, see
     # CHANGES.md).
     for size in range(1, 7):
         for rational in (False, True):
