@@ -534,7 +534,7 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
 
 
 def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
-    """det(matrix) by Bareiss elimination on one packed int per entry.
+    """det(matrix) by Bareiss elimination on one packed int per entry, from 3 x 3 on.
 
     The entries are scaled once to integer numerators N over the lcm d of
     their denominators.  Row i and column j are shifted by q^(r_i + c_j),
@@ -553,8 +553,13 @@ def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
     back.
     """
     n = len(matrix)
-    if n == 0:
-        return _ONE
+    if n <= 2:
+        # The Leibniz formula: packing costs a 2 x 2 more than its two
+        # products, and nothing packed is needed below that.
+        if n < 2:
+            return matrix[0][0] if n else _ONE
+        (a, b), (c, d) = matrix
+        return a * d - b * c
     nums = [[entry._terms for entry in row] for row in matrix]
     d = lcm(*[c.denominator for row in nums for t in row for c in t.values() if type(c) is not int])
     if d != 1:

@@ -620,13 +620,12 @@ def test_det_fraction_free_against_sympy():
     assert det_fraction_free(rows).is_zero
     assert_det_matches_sympy(rows)
     # Laurent entries in q and q2, over integers and over denominators, at
-    # every size up to 6; with 200-digit coefficients up to size 4, where one
-    # such matrix takes about 0.2 s (size 6 takes about 10 s, see
-    # CHANGES.md).
+    # every size up to 6; with 200-digit coefficients up to size 5, where one
+    # such matrix takes about 1 s (size 6 takes about 10 s, see CHANGES.md).
     for size in range(1, 7):
         for rational in (False, True):
             assert_det_matches_ring(random_laurent_matrix(rng, size, rational))
-            if size <= 4:
+            if size <= 5:
                 assert_det_matches_ring(random_laurent_matrix(rng, size, rational, BIG))
     # Coefficients at +B and -B, B the permanent bound, with and without
     # denominators, at every size up to 6.
@@ -647,8 +646,9 @@ def test_det_fraction_free_against_sympy():
     assert_det_matches_ring(diag)
     # The smallest-pivot rule swaps at step 0 (|2^w + 2| > 1), and at step 1
     # (the reduced column holds q + 5 over 1), each flipping the sign once.
-    assert_det_matches_ring([[Q + 2, ONE], [ONE, Q]])
-    assert_det_matches_ring([[Q2 + Q, ONE * 3], [ONE * 2, Q]])
+    # A 2 x 2 takes the Leibniz formula, so these are 3 x 3.
+    assert_det_matches_ring([[Q + 2, ONE, Q2], [ONE, Q, ONE * 3], [Q * 2, ONE * 5, ONE]])
+    assert_det_matches_ring([[Q2 + Q, ONE * 3, Q], [ONE * 2, Q, ONE], [Q2 * 4, ONE, Q2 - 1]])
     assert_det_matches_ring([
         [ONE, ONE * 2, ONE * 3],
         [ONE * 2, Q + 9, ONE],
@@ -691,9 +691,13 @@ def test_det_fraction_free_against_sympy():
 
 
 def test_det_fraction_free_uses_no_polynomial_arithmetic(monkeypatch):
+    # From 3 x 3 on; a 2 x 2 is the Leibniz formula's two PolyQQ products.
     rng = random.Random(71)
-    cases = [random_laurent_matrix(rng, size, True) for size in (1, 3, 5)]
-    cases += [monomial_permutation_matrix(rng, 4, -1), [[Q + 2, ONE], [ONE, Q]]]
+    cases = [random_laurent_matrix(rng, size, True) for size in (3, 5, 6)]
+    cases += [
+        monomial_permutation_matrix(rng, 4, -1),
+        [[ONE, ONE * 2, ONE * 3], [ONE * 2, Q + 9, ONE], [ONE * 3, ONE * 7, Q]],
+    ]
     expected = [ring_det(matrix) for matrix in cases]
 
     def refuse(*args):
