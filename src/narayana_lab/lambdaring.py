@@ -8,7 +8,7 @@ elementary functions from the lambda-ring negation e_n[a] = (-1)^n h_n[-a];
 power sums directly from the atom values; Schur functions from the
 Jacobi-Trudi determinant, which det_fraction_free takes by Bareiss
 elimination on one packed Python int per entry (Kronecker substitution) and
-decodes once.
+decodes once (a 2 x 2 by its two products).
 """
 
 from __future__ import annotations
@@ -202,11 +202,12 @@ def jacobi_trudi(h_at: Callable[[int], PolyQQ], mu: Partition) -> PolyQQ:
 def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
     """Determinant by Bareiss elimination on one packed Python int per entry.
 
-    The entries are scaled to integer numerators over one denominator,
-    shifted row by row and column by column so that every exponent is >= 0,
-    and packed by the ring map q -> t, q2 -> t^S, t -> 2^w, which commutes
-    with det; poly._det runs Bareiss on the ints (smallest pivot first,
-    exact divisions by a 2-adic inverse) and decodes the last entry once.
+    From 3 x 3 on, the entries are scaled to integer numerators over one
+    denominator, shifted row by row and column by column so that every
+    exponent is >= 0, and packed by the ring map q -> t, q2 -> t^S,
+    t -> 2^w, which commutes with det; poly._det runs Bareiss on the ints
+    (smallest pivot first, exact divisions by a 2-adic inverse) and decodes
+    the last entry once.  A 2 x 2 is a*d - b*c.
     """
     return _det(matrix)
 

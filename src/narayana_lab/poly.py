@@ -10,8 +10,9 @@ nothing copied, for an integer polynomial), the kernel accumulates ints, and a
 Fraction is built once per output value, at the boundary.  Every power sum,
 from subst_q or from _sum_powers, is summed by one kernel, _horner, which packs
 each dense int row into one int at t = 2^w (Kronecker substitution), so that
-the sum runs in CPython's bigint arithmetic.  Determinants are taken the same
-way: _det packs each entry into one int and runs Bareiss elimination on them.
+the sum runs in CPython's bigint arithmetic.  Determinants from 3 x 3 on are
+taken the same way: _det packs each entry into one int and runs Bareiss
+elimination on them.
 """
 
 from __future__ import annotations
