@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 from typing import Callable, Sequence
 
 from .lambdaring import (
@@ -34,7 +35,6 @@ from .partitions import (
     decompositions,
     enumerate_partitions,
     iter_subsets,
-    z_of,
 )
 from .poly import Coeff, PolyQQ, _as_poly, _sum_powers
 from .rationals import frac_binomial, gen_binomial
@@ -58,8 +58,9 @@ SUITE_VERSION = "1"
 DEFAULT_SEED = 1
 
 DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
-# The largest documented run, about 3 s on one CPU; the grid identities
-# (thm4, thm5) grow steeply past it, and the whole suite takes about 15 s at 40.
+# The largest documented run: run_suite(max_n=30) takes 0.77-1.28 s (median
+# 0.95 s) from cold memos on one CPU of a shared 2-core host (Python 3.11);
+# the grid identities (thm4, thm5) grow steeply past it.
 VERIFY_MAX_N_CAP = 30
 # Each parameter's upper bound is the largest value its schedule reaches at
 # VERIFY_MAX_N_CAP, so check_identity refuses any case past what verify runs.
@@ -429,11 +430,23 @@ def _new_formula(p: Params):
     domain={"r": (1, _CAP)},
 )
 def _odd_parts_schroeder(p: Params):
+    # The sum over partitions mu of r into odd parts of w^(l(mu)-1)/z_mu, with
+    # w = 2r+2, is h_r[w*O]/w for the alphabet O with p_i = 1 at odd i and 0 at
+    # even i.  By Newton's identity n*h_n = sum_i p_i*h_(n-i), as in
+    # new-formula, Y_0 = 1 and Y_n = n!*h_n[w*O] = w * sum over odd i of
+    # (n-1)!/(n-i)! * Y_(n-i), in ints.
     r = p["r"]
-    total = Fraction(0)
-    for mu in enumerate_partitions(r, lambda m: all(x % 2 == 1 for x in m)):
-        total += Fraction((2 * r + 2) ** (mu.length - 1), z_of(mu))
-    return total, schroeder("small", r)
+    w = 2 * r + 2
+    ys = [1]
+    for n in range(1, r + 1):
+        total = 0
+        weight = 1  # (n-1)!/(n-i)!
+        for i in range(1, n + 1):
+            if i % 2:
+                total += weight * ys[n - i]
+            weight *= n - i
+        ys.append(w * total)
+    return Fraction(ys[r], math.factorial(r) * w), schroeder("small", r)
 
 
 def _hstar(r: int, a: Alphabet) -> PolyQQ:
@@ -535,14 +548,18 @@ def _rot(p: Params):
     return total, 0
 
 
+_LEMMA3_X = (-4, 6)
+_LEMMA3_Y = (-5, 5)
+
+
 def _sched_lemma3(max_n: int, rng: random.Random) -> list[Params]:
     cases: list[Params] = []
     for n in range(2, min(max_n, 8) + 1):
         for _ in range(2):
             params: Params = {"n": n}
             for idx in range(1, n + 1):
-                params[f"x{idx}"] = rng.randint(-4, 6)
-                params[f"y{idx}"] = rng.randint(-5, 5)
+                params[f"x{idx}"] = rng.randint(*_LEMMA3_X)
+                params[f"y{idx}"] = rng.randint(*_LEMMA3_Y)
             cases.append(params)
     return cases
 
@@ -553,6 +570,11 @@ def _lemma3_sides(p: Params, full: bool) -> tuple[int, int]:
         raise ScheduleError(f"parameters x1..x{n} and y1..y{n} are required")
     xs = [p[f"x{i}"] for i in range(1, n + 1)]
     ys = [p[f"y{i}"] for i in range(1, n + 1)]
+    # The schedule's ranges, refused past before any work: a sum over 2^n
+    # subsets of n-fold products has no other bound on the size of its ints.
+    (x_lo, x_hi), (y_lo, y_hi) = _LEMMA3_X, _LEMMA3_Y
+    if any(not x_lo <= x <= x_hi for x in xs) or any(not y_lo <= y <= y_hi for y in ys):
+        raise ScheduleError(f"x_i must lie in {x_lo}..{x_hi} and y_i in {y_lo}..{y_hi}")
     top = n if full else n - 1
     total = 0
     for subset in iter_subsets(xs):
@@ -746,16 +768,36 @@ def _jonah_alt(p: Params):
     return lhs, gen_binomial(n, r - 1)
 
 
+def _binomial_products(s: int, a: int, b: int) -> list[int]:
+    """C(s, m) * C(a-m, b) for m = 0..s, for s, b >= 0 and any int top a.
+
+    Each entry is the one before times (s-m+1)/m, by C(s, m) =
+    C(s, m-1)*(s-m+1)/m, and times (t-b)/t, by C(t-1, b) = C(t, b)*(t-b)/t
+    with t = a-m+1, which holds for any int t != 0; the quotient is exact.  At
+    t = 0 the entry is taken whole (gen_binomial(-1, b) = (-1)^b).
+    """
+    c = gen_binomial(a, b)
+    out = [c]
+    for m in range(1, s + 1):
+        t = a - m + 1
+        if t:
+            c = c * (s - m + 1) * (t - b) // (m * t)
+        else:
+            c = math.comb(s, m) * gen_binomial(-1, b)
+        out.append(c)
+    return out
+
+
 def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Terms, list[int]]:
     """thm4's lhs as pairs (row, coefficients of I_k in q-1), and its rhs's
     coefficients in q-1.  The rows are small(r), the row of C_r(q), then
-    large(r-k), that of q*C_(r-k)(q) for k = 1..r-1, or their values."""
-    # The tops n-2r+2k-m and n-m can be negative; the others cannot.
+    large(r-k), that of q*C_(r-k)(q) for k = 1..r-1, or their values.  The
+    coefficients are C(k-1, m)*C(n-2r+2k-m, k) for m = 0..k-1 and
+    C(r-1, m)*C(n-m, r-1) for m = 0..r-1, whose tops can be negative."""
     lhs = [(small(r), [1])]
     for k in range(1, r):
-        coeffs = [math.comb(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
-        lhs.append((large(r - k), coeffs))
-    return lhs, [math.comb(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
+        lhs.append((large(r - k), _binomial_products(k - 1, n - 2 * r + 2 * k, k)))
+    return lhs, _binomial_products(r - 1, n, r - 1)
 
 
 @_register(
@@ -783,14 +825,28 @@ def _thm4_schroeder(p: Params):
 
 
 def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
-    """thm5's lhs: pairs (large(k), the row of q*C_k(q) or its value, coefficients of I_k in 1-q)."""
-    return [
-        (
-            large(k),
-            [gen_binomial(n - 2 * k - m, r - k - m) * math.comb(k + m, m) for m in range(r - k + 1)],
-        )
-        for k in range(r + 1)
-    ]
+    """thm5's lhs as pairs (large(k), coefficients of I_k in 1-q), k = 0..r.
+
+    large(k) is the row of q*C_k(q) or its value.  The coefficients are
+    C(n-2k-m, r-k-m)*C(k+m, m) for m = 0..r-k.  Each is the one before times
+    b/t, by C(t-1, b-1) = C(t, b)*b/t with t = n-2k-m+1 and b = r-k-m+1, which
+    holds for any int t != 0, and times (k+m)/m, by C(k+m, m) =
+    C(k+m-1, m-1)*(k+m)/m; the quotient is exact.  At t = 0 the entry is
+    taken whole.
+    """
+    terms = []
+    for k in range(r + 1):
+        c = gen_binomial(n - 2 * k, r - k)
+        coeffs = [c]
+        for m in range(1, r - k + 1):
+            t, b = n - 2 * k - m + 1, r - k - m + 1
+            if t:
+                c = c * b * (k + m) // (t * m)
+            else:
+                c = gen_binomial(-1, b - 1) * math.comb(k + m, m)
+            coeffs.append(c)
+        terms.append((large(k), coeffs))
+    return terms
 
 
 @_register(
@@ -820,10 +876,25 @@ def _thm5_schroeder(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _thm6_coeff(n: int, k: int, i: int, j: int) -> int:
-    """t_ij of T_k(x, y) = sum over i+j <= k of t_ij*x^i*y^j, thm6's weight of q*C_(n-k)."""
-    # Only the last top can be negative (-1, at k = 0).
-    return math.comb(n - k + i, i) * math.comb(n + 1, j) * gen_binomial(2 * k - i - j - 1, k - i - j)
+# thm6, thm6-spec-q1 and thm6-spec-q2 run one after another over every n, so
+# the bound keeps every table of a run: each is built once.
+@lru_cache(maxsize=VERIFY_MAX_N_CAP)
+def _thm6_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The t_ij of every T_k(x, y) = sum over i+j <= k of t_ij*x^i*y^j, thm6's
+    weight of q*C_(n-k), k = 0..n, in factored form (b, ((a, g) for each k)).
+
+    t_ij = a_i * b_j * g_(i+j) with a_i = C(n-k+i, i), b_j = C(n+1, j) and
+    g_s = C(2k-s-1, k-s) (the top is -1 at k = 0), so the table of one n holds
+    O(n^2) ints where its entries are O(n^3).  a_0 = b_0 = 1.
+    """
+    b = tuple(math.comb(n + 1, j) for j in range(n + 1))
+    return b, tuple(
+        (
+            tuple(math.comb(n - k + i, i) for i in range(k + 1)),
+            tuple(gen_binomial(2 * k - s - 1, k - s) for s in range(k + 1)),
+        )
+        for k in range(n + 1)
+    )
 
 
 @_register(
@@ -835,21 +906,19 @@ def _thm6_coeff(n: int, k: int, i: int, j: int) -> int:
 )
 def _thm6(p: Params):
     # Grouped by the power of y = q'-1, the sum is sum_j y^j * A_j(q), where
-    # A_j = sum_k q*C_(n-k)(q) * sum_i t_ij * (1-q)^i is one convolution over
-    # T_k's slice j.  A_j's coefficient of q^a goes at exponents (a, j), and
-    # one substitution q2 -> q'-1 gives the rhs.  The lhs (n+1)*q'*C_n(q')
-    # is the row of q*C_n put at q2-exponents.
+    # A_j = b_j * sum_k q*C_(n-k)(q) * sum_i a_i*g_(i+j) * (1-q)^i is one
+    # convolution over T_k's slice j, scaled once.  A_j's coefficient of q^e
+    # goes at exponents (e, j), and one substitution q2 -> q'-1 gives the rhs.
+    # The lhs (n+1)*q'*C_n(q') is the row of q*C_n put at q2-exponents.
     n = p["n"]
+    b, factors = _thm6_table(n)
     rows = [large_narayana_row(n - k) for k in range(n + 1)]
-    lhs = PolyQQ({(0, a): (n + 1) * c for a, c in enumerate(rows[0])})
+    lhs = PolyQQ({(0, e): (n + 1) * c for e, c in enumerate(rows[0])})
     slices: dict[tuple[int, int], int] = {}
     for j in range(n + 1):
-        terms = [
-            (rows[k], [_thm6_coeff(n, k, i, j) for i in range(k + 1 - j)])
-            for k in range(j, n + 1)
-        ]
-        for (a, _), c in _sum_powers(terms, _OMQ).items():
-            slices[(a, j)] = c
+        terms = [(rows[k], list(map(mul, a, g[j:]))) for k, (a, g) in enumerate(factors[j:], j)]
+        for (e, _), c in _sum_powers(terms, _OMQ).items():
+            slices[(e, j)] = b[j] * c
     return lhs, PolyQQ(slices).subst_q(_Q, q2=_Q2M1)
 
 
@@ -867,18 +936,13 @@ def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
 )
 def _thm6_spec_q1(p: Params):
     n, display = p["n"], p["display"]
+    b, factors = _thm6_table(n)
     if display == 1:
-        # q = 1, so x = 0: T_k's slice i = 0, in y = q'-1 with q' written q.
-        terms = [
-            ((catalan(n - k),), [_thm6_coeff(n, k, 0, j) for j in range(k + 1)])
-            for k in range(n + 1)
-        ]
+        # q = 1, so x = 0: T_k's slice i = 0, b_j*g_j, in y = q'-1 with q' written q.
+        terms = [((catalan(n - k),), list(map(mul, b, g))) for k, (_, g) in enumerate(factors)]
         return large_narayana(n) * (n + 1), _sum_powers(terms, _QM1)
-    # q' = 1, so y = 0: T_k's slice j = 0, in x = 1-q.
-    terms = [
-        (large_narayana_row(n - k), [_thm6_coeff(n, k, i, 0) for i in range(k + 1)])
-        for k in range(n + 1)
-    ]
+    # q' = 1, so y = 0: T_k's slice j = 0, a_i*g_i, in x = 1-q.
+    terms = [(large_narayana_row(n - k), list(map(mul, a, g))) for k, (a, g) in enumerate(factors)]
     return (n + 1) * catalan(n), _sum_powers(terms, _OMQ)
 
 
@@ -890,23 +954,20 @@ def _thm6_spec_q1(p: Params):
 )
 def _thm6_spec_q2(p: Params):
     n, display = p["n"], p["display"]
+    b, factors = _thm6_table(n)
     if display == 1:
-        # q = 2, so x = -1: T_k's signed column sums, in y = q'-1 with q' written q.
-        terms = [
-            (
-                (schroeder("large", n - k),),
-                [sum((-1) ** i * _thm6_coeff(n, k, i, j) for i in range(k + 1 - j)) for j in range(k + 1)],
-            )
-            for k in range(n + 1)
-        ]
+        # q = 2, so x = -1: T_k's signed column sums
+        # b_j * sum_i (-1)^i*a_i*g_(i+j), in y = q'-1 with q' written q.
+        terms = []
+        for k, (a, g) in enumerate(factors):
+            signed = [x if i % 2 == 0 else -x for i, x in enumerate(a)]
+            sums = [b[j] * sum(map(mul, signed, g[j:])) for j in range(k + 1)]
+            terms.append(((schroeder("large", n - k),), sums))
         return large_narayana(n) * (n + 1), _sum_powers(terms, _QM1)
-    # q' = 2, so y = 1: T_k's row sums, in x = 1-q.
+    # q' = 2, so y = 1: T_k's row sums a_i * sum_j b_j*g_(i+j), in x = 1-q.
     terms = [
-        (
-            large_narayana_row(n - k),
-            [sum(_thm6_coeff(n, k, i, j) for j in range(k + 1 - i)) for i in range(k + 1)],
-        )
-        for k in range(n + 1)
+        (large_narayana_row(n - k), [a[i] * sum(map(mul, b, g[i:])) for i in range(k + 1)])
+        for k, (a, g) in enumerate(factors)
     ]
     return (n + 1) * schroeder("large", n), _sum_powers(terms, _OMQ)
 

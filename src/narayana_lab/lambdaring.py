@@ -296,19 +296,25 @@ class HSequence:
 
 
 def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
-    """Coefficients c_1..c_depth of the continued fraction 1/(1 - c_1 u/(1 - ...)).
+    """Coefficients c_1..c_depth of the S-fraction of f = sum_k h_k u^k.
 
-    Obtained by iterated peeling c_i = [u^1](1 - 1/f) and
-    f_next = (1 - 1/f)/(c_i u); each extracted coefficient must be a monomial
-    (a unit of the Laurent ring up to a rational factor).
+    f = 1/(1 - c_1 u/(1 - c_2 u/(1 - ...))), by the three-term
+    (Euler-Viskovatov) recurrence: P_0 = 1 and P_1 = f, then
+    c_k = [u^1](P_k - P_(k-1)) and P_(k+1) = (P_k - P_(k-1)) * c_k^-1 / u.
+    The tail 1/(1 - c_(k+1) u/(1 - ...)) is P_(k+1)/P_k, every P_k has
+    constant term 1 (h_0 = 1), and each level is one subtraction and one
+    product by the monomial c_k^-1: no series inverse.  Each c_k must be a
+    nonzero monomial (a unit of the Laurent ring up to a rational factor),
+    else ArithmeticError.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    f = TruncSeries([hseq.h(k) for k in range(depth + 2)], order=depth + 1)
+    prev = TruncSeries.one(depth + 1)
+    cur = TruncSeries([hseq.h(k) for k in range(depth + 2)], order=depth + 1)
     coeffs: list[PolyQQ] = []
     for _ in range(depth):
-        g = TruncSeries.one(f.order) - f.inverse()
-        c = g.coefficient(1)
+        diff = cur - prev
+        c = diff.coefficient(1)
         if c.is_zero:
             raise ArithmeticError(
                 f"zero coefficient after {len(coeffs)} continued-fraction levels"
@@ -317,8 +323,8 @@ def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
             raise ArithmeticError(f"non-monomial continued-fraction coefficient {c}")
         coeffs.append(c)
         inv = c ** -1
-        f = TruncSeries(
-            [g.coefficient(k + 1) * inv for k in range(f.order)],
-            order=f.order - 1,
+        prev, cur = cur, TruncSeries(
+            [diff.coefficient(k + 1) * inv for k in range(diff.order)],
+            order=diff.order - 1,
         )
     return coeffs

@@ -245,6 +245,97 @@ def test_new_formula_equals_the_partition_sum():
         assert check_identity("new-formula", {"r": r}).rhs == total, r
 
 
+def test_odd_parts_schroeder_equals_the_partition_sum():
+    # The literal sum over partitions mu of r into odd parts of
+    # (2r+2)^(l(mu)-1)/z_mu, which `odd-parts-schroeder` evaluates by Newton's
+    # recurrence instead.
+    for r in range(1, VERIFY_MAX_N_CAP + 1):
+        total = sum(
+            Fraction((2 * r + 2) ** (mu.length - 1), z_of(mu))
+            for mu in enumerate_partitions(r, lambda m: all(x % 2 == 1 for x in m))
+        )
+        case = check_identity("odd-parts-schroeder", {"r": r})
+        assert case.lhs == PolyQQ.const(total) and case.passed, r
+
+
+def _thm4_sides_by_entry(n, r):
+    # The lhs lists and the rhs list of _thm4_sides, one gen_binomial per entry.
+    lhs = [[1]] + [
+        [gen_binomial(k - 1, m) * gen_binomial(n - 2 * r + 2 * k - m, k) for m in range(k)]
+        for k in range(1, r)
+    ]
+    return lhs, [gen_binomial(r - 1, m) * gen_binomial(n - m, r - 1) for m in range(r)]
+
+
+def _thm5_terms_by_entry(n, r):
+    return [
+        [gen_binomial(n - 2 * k - m, r - k - m) * gen_binomial(k + m, m) for m in range(r - k + 1)]
+        for k in range(r + 1)
+    ]
+
+
+def _thm6_coeff(n, k, i, j):
+    # t_ij of T_k(x, y), thm6's weight of q*C_(n-k), one entry at a time.
+    return gen_binomial(n - k + i, i) * gen_binomial(n + 1, j) * gen_binomial(2 * k - i - j - 1, k - i - j)
+
+
+def test_coefficient_lists_equal_their_per_entry_binomials():
+    # The ratio-step lists of thm4 and thm5 against one gen_binomial per
+    # entry on the whole grid verify can reach; each row stands in as its index.
+    def index(j):
+        return j
+
+    fallbacks = 0
+    for n in range(1, VERIFY_MAX_N_CAP + 1):
+        for r in range(1, VERIFY_MAX_N_CAP + 1):
+            lhs, rhs = identities._thm4_sides(n, r, index, index)
+            assert [j for j, _ in lhs] == list(range(r, 0, -1)), (n, r)
+            assert ([c for _, c in lhs], rhs) == _thm4_sides_by_entry(n, r), (n, r)
+            terms = identities._thm5_terms(n, r, index)
+            assert [j for j, _ in terms] == list(range(r + 1)), (n, r)
+            assert [c for _, c in terms] == _thm5_terms_by_entry(n, r), (n, r)
+            # A step whose top is 0 falls back to a whole binomial: the tops
+            # after entry m-1 are n-2r+2k-m+1 and n-m+1 (thm4) and n-2k-m+1 (thm5).
+            fallbacks += sum(n - 2 * r + 2 * k - m + 1 == 0 for k in range(1, r) for m in range(1, k))
+            fallbacks += sum(n - m + 1 == 0 for m in range(1, r))
+            fallbacks += sum(n - 2 * k - m + 1 == 0 for k in range(r + 1) for m in range(1, r - k + 1))
+    assert fallbacks > 0
+
+
+def test_thm6_table_equals_its_per_entry_binomials():
+    # The factored table of each n, t_ij = a_i * b_j * g_(i+j), entry by entry.
+    for n in range(1, VERIFY_MAX_N_CAP + 1):
+        b, factors = identities._thm6_table(n)
+        assert len(b) == len(factors) == n + 1, n
+        for k, (a, g) in enumerate(factors):
+            got = [[a[i] * b[j] * g[i + j] for j in range(k + 1 - i)] for i in range(k + 1)]
+            want = [[_thm6_coeff(n, k, i, j) for j in range(k + 1 - i)] for i in range(k + 1)]
+            assert got == want, (n, k)
+
+
+def test_thm6_builds_one_table_per_n():
+    identities._thm6_table.cache_clear()
+    report = run_suite(ids=["thm6", "thm6-spec-q1", "thm6-spec-q2"], max_n=12)
+    assert report.ok and len(report.results) == 12 * 5
+    info = identities._thm6_table.cache_info()
+    assert info.misses == 12 and info.hits == 12 * 5 - 12
+
+
+def test_lemma3_refuses_values_outside_the_schedule_before_any_work():
+    # With 20,000-digit x_i and y_i the 2^12 subset products did not finish
+    # in 30 s.
+    huge = 10**20000
+    for id in ("lemma3-a", "lemma3-b"):
+        params = {"n": 12, **{f"x{i}": huge for i in range(1, 13)}, **{f"y{i}": -huge for i in range(1, 13)}}
+        with pytest.raises(ScheduleError, match="x_i must lie in -4..6"):
+            check_identity(id, params)
+        ok = {"n": 3, "x1": 6, "x2": -4, "x3": 0, "y1": 5, "y2": -5, "y3": 0}
+        assert check_identity(id, ok).passed
+        for name, value in (("x1", 7), ("x2", -5), ("y1", 6), ("y3", -6)):
+            with pytest.raises(ScheduleError):
+                check_identity(id, {**ok, name: value})
+
+
 def _inner(coeffs, base):
     return PolyQQ.from_q_coefficients(coeffs).subst_q(base)
 
@@ -370,10 +461,13 @@ subst = PolyQQ.subst_q
 
 def test_new_formula_and_convolutions_substitute_once(monkeypatch):
     def refuse(*args):
-        raise AssertionError("new-formula enumerated partitions")
+        raise AssertionError("a case enumerated partitions")
 
+    # new-formula and odd-parts-schroeder sum over partitions by Newton's
+    # identity: no enumeration, and no centralizer size from any module.
     monkeypatch.setattr("narayana_lab.identities.enumerate_partitions", refuse)
-    monkeypatch.setattr("narayana_lab.identities.z_of", refuse)
+    monkeypatch.setattr("narayana_lab.partitions.z_of", refuse)
+    assert not hasattr(identities, "z_of")
     # One call of the Horner loop per sum, from _sum_powers or from subst_q
     # of any shape.
     calls = []
@@ -398,6 +492,7 @@ def test_new_formula_and_convolutions_substitute_once(monkeypatch):
     monkeypatch.setattr("narayana_lab.identities._sum_powers", guarded)
     for id, params, want in (
         ("new-formula", {"r": 9}, 1),
+        ("odd-parts-schroeder", {"r": 9}, 0),
         ("thm3", {"n": 9}, 1),
         ("thm4", {"n": 9, "r": 7}, 2),  # its lhs and its rhs
         ("thm5", {"n": 9, "r": 7}, 1),
@@ -456,7 +551,7 @@ def test_convolution_cases_read_int_rows(monkeypatch):
 
 def test_thm6_against_sympy():
     # thm6's rhs against sympy's expansion of sum_k q*C_(n-k)(q)*T_k(1-q, q'-1),
-    # with q*C_m from sympy's binomials and t_ij from _thm6_coeff.
+    # with q*C_m from sympy's binomials and t_ij one entry at a time.
     sympy = pytest.importorskip("sympy")
     q, q2 = sympy.symbols("q q2")
 
@@ -468,7 +563,7 @@ def test_thm6_against_sympy():
 
     for n in range(1, 7):
         expected = sum(
-            large(n - k, q) * identities._thm6_coeff(n, k, i, j) * (1 - q) ** i * (q2 - 1) ** j
+            large(n - k, q) * _thm6_coeff(n, k, i, j) * (1 - q) ** i * (q2 - 1) ** j
             for k in range(n + 1)
             for i in range(k + 1)
             for j in range(k + 1 - i)

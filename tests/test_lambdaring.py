@@ -23,7 +23,8 @@ from narayana_lab.lambdaring import (
 from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
-from narayana_lab.sequences import catalan, narayana_hsequence
+from narayana_lab.sequences import catalan, catalan_hsequence, narayana_hsequence
+from narayana_lab.series import TruncSeries
 
 Q = VALUE_Q
 OMQ = VALUE_ONE_MINUS_Q
@@ -185,10 +186,63 @@ def test_sfraction():
     assert sfraction(catalan_seq, 5) == [ONE] * 5
 
 
+def _sfraction_by_inverses(hseq, depth):
+    # Peel one level at a time: c = [u^1](1 - 1/f), f <- (1 - 1/f)/(c*u),
+    # a full series inverse per level.
+    f = TruncSeries([hseq.h(k) for k in range(depth + 2)], order=depth + 1)
+    coeffs = []
+    for _ in range(depth):
+        g = TruncSeries.one(f.order) - f.inverse()
+        c = g.coefficient(1)
+        assert not c.is_zero and c.is_monomial()
+        coeffs.append(c)
+        f = TruncSeries([g.coefficient(k + 1) * c**-1 for k in range(f.order)], order=f.order - 1)
+    return coeffs
+
+
+def test_sfraction_equals_the_inverse_peeling():
+    for hseq in (narayana_hsequence(), catalan_hsequence()):
+        for depth in range(1, 21):
+            assert sfraction(hseq, depth) == _sfraction_by_inverses(hseq, depth), depth
+
+
+def test_sfraction_expands_back_to_the_series_in_sympy():
+    # The finite fraction 1/(1 - c_1 u/(1 - ... /(1 - c_d u))) agrees with
+    # sum_k h_k u^k through u^d: its numerator minus the series times its
+    # denominator has no term below u^(d+1).
+    sympy = pytest.importorskip("sympy")
+    q, u = sympy.symbols("q u")
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * q**a for (a, _), c in p.items())
+
+    for hseq in (narayana_hsequence(), catalan_hsequence()):
+        for depth in (1, 2, 7, 20):
+            # From the innermost level out, N/D <- 1/(1 - c*u*N/D) = D/(D - c*u*N).
+            num = den = sympy.Integer(1)
+            for c in reversed(sfraction(hseq, depth)):
+                num, den = den, sympy.expand(den - expr(c) * u * num)
+            series = sum(expr(hseq.h(k)) * u**k for k in range(depth + 1))
+            rest = sympy.Poly(sympy.expand(num - series * den), u)
+            assert all(rest.coeff_monomial(u**k) == 0 for k in range(depth + 1)), depth
+
+
 def test_sfraction_zero_coefficient_stops():
     ones = HSequence(lambda n: PolyQQ.one() if n == 0 else PolyQQ.zero())
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="zero coefficient after 0 continued-fraction levels"):
         sfraction(ones, 2)
+    # sum_k u^k = 1/(1 - u): c_1 = 1, then nothing is left.
+    all_ones = HSequence(lambda n: PolyQQ.one())
+    with pytest.raises(ArithmeticError, match="^zero coefficient after 1 continued-fraction levels$"):
+        sfraction(all_ones, 3)
+
+
+def test_sfraction_non_monomial_coefficient_stops():
+    # h = 1, 1, 2+q, ...: c_1 = 1 and c_2 = h_2 - h_1^2 = 1+q.
+    hseq = HSequence(lambda n: [ONE, ONE, 2 + Q, ONE][n])
+    with pytest.raises(ArithmeticError) as err:
+        sfraction(hseq, 2)
+    assert str(err.value) == f"non-monomial continued-fraction coefficient {ONE + Q}"
 
 
 def test_hsequence_validates_h0():
