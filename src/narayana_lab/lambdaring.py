@@ -2,13 +2,14 @@
 
 A specialization point (:class:`Alphabet`) is an integer constant plus
 integer-weighted rank-1 atoms whose values are exact polynomials.  Complete
-functions come from the integer coefficient table of the product form
-(1-u)^-c * prod (1-x*u)^-w of their generating series, substituted once;
-elementary functions from the lambda-ring negation e_n[a] = (-1)^n h_n[-a];
-power sums directly from the atom values; Schur functions from the
-Jacobi-Trudi determinant, which det_fraction_free takes by Bareiss
-elimination on one packed Python int per entry (Kronecker substitution) and
-decodes once (a 2 x 2 by its two products).
+functions are the coefficients of the product form (1-u)^-c * prod (1-x*u)^-w
+of their generating series, which poly._series_product multiplies out on one
+packed Python int per coefficient (Kronecker substitution); elementary
+functions come from the lambda-ring negation e_n[a] = (-1)^n h_n[-a]; power
+sums directly from the atom values; Schur functions from the Jacobi-Trudi
+determinant, whose matrix reads one such row of complete functions from three
+parts on, and which det_fraction_free takes by Bareiss elimination on one
+packed int per entry and decodes once (a 2 x 2 by its two products).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from .partitions import Partition, composition_multiplicity
-from .poly import Coeff, PolyQQ, _as_poly, _det
+from .poly import Coeff, PolyQQ, _as_poly, _det, _series_product
 from .rationals import gen_binomial
 from .series import TruncSeries
 
+_ONE = PolyQQ.one()
 VALUE_Q = PolyQQ.var_q()
 VALUE_Q2 = PolyQQ.var_q2()
 VALUE_ONE_MINUS_Q = PolyQQ.one() - VALUE_Q
@@ -42,7 +44,9 @@ class Alphabet:
     """Formal specialization point: integer constant + weighted rank-1 atoms.
 
     Negative weights encode alphabet subtraction.  Atoms with equal values are
-    merged, so equality and hashing are canonical.
+    merged, atoms of value 0 dropped and atoms of value 1 folded into the
+    constant (weight w adds w), so equality and hashing are canonical: a
+    point has one Alphabet, and is_constant says whether it is a constant.
     """
 
     __slots__ = ("constant", "atoms")
@@ -54,9 +58,9 @@ class Alphabet:
     ):
         merged: dict[PolyQQ, int] = {}
         for coeff, value in atoms:
-            if coeff:
+            if coeff and value:
                 merged[value] = merged.get(value, 0) + coeff
-        self.constant = constant
+        self.constant = constant + merged.pop(_ONE, 0)
         self.atoms = tuple(
             sorted(
                 ((c, v) for v, c in merged.items() if c),
@@ -106,7 +110,7 @@ class Alphabet:
 
 
 def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet:
-    """An Alphabet over atoms that are already merged, nonzero and sorted."""
+    """An Alphabet over atoms that are already merged, nonzero, of values other than 0 and 1, and sorted."""
     a = Alphabet.__new__(Alphabet)
     a.constant = constant
     a.atoms = atoms
@@ -114,43 +118,26 @@ def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet
 
 
 # Bounded above the largest per-process working set of the benchmark
-# workloads (2451 values for one query-distinct batch), so it evicts nothing there.
+# workloads (1385 values for verify --max-n 20, 835 for one query-distinct
+# batch), so it evicts nothing there.
 @lru_cache(maxsize=4096)
 def h_of(n: int, a: Alphabet) -> PolyQQ:
     """Complete function h_n at the point a.
 
-    For a = c + w1*x1 + w2*x2, h_n[a] is the sum over i + j <= n of
-    C(c+n-i-j-1, n-i-j) * C(w1+i-1, i) * C(w2+j-1, j) * x1^i * x2^j: the
-    integers sit at exponents (i, j) and one subst_q puts in x1 and x2.  More
-    atoms split into a head (c and the first two atoms) and a tail, and
-    h_n[head + tail] = sum_k h_k[head] * h_(n-k)[tail].
+    At a constant c it is C(c+n-1, n) (gen_binomial takes any integer top);
+    otherwise [u^n] of H(u) = (1-u)^-c * prod (1-x*u)^-w, by the packed
+    series product poly._series_product.
     """
     if n < 0:
         raise ValueError("h_of needs n >= 0")
-    c, atoms = a.constant, a.atoms
-    if len(atoms) > 2:
-        head, tail = _canonical(c, atoms[:2]), _canonical(0, atoms[2:])
-        out = PolyQQ.zero()
-        for k in range(n + 1):
-            out = out + h_of(k, head) * h_of(n - k, tail)
-        return out
-    # gen_binomial takes any integer top, so negative constants and weights
-    # need no special case.
-    if not atoms:
-        return PolyQQ.const(gen_binomial(c + n - 1, n))
-    hc = [gen_binomial(c + m - 1, m) for m in range(n + 1)]
-    w1, x1 = atoms[0]
-    r1 = [gen_binomial(w1 + i - 1, i) for i in range(n + 1)]
-    if len(atoms) == 1:
-        return PolyQQ.from_q_coefficients([hc[n - i] * r1[i] for i in range(n + 1)]).subst_q(x1)
-    w2, x2 = atoms[1]
-    r2 = [gen_binomial(w2 + j - 1, j) for j in range(n + 1)]
-    table = {
-        (i, j): hc[n - i - j] * r1[i] * r2[j]
-        for i in range(n + 1)
-        for j in range(n + 1 - i)
-    }
-    return PolyQQ(table).subst_q(x1, q2=x2)
+    if a.is_constant:
+        return PolyQQ.const(gen_binomial(a.constant + n - 1, n))
+    return _series_product(_factors(a), n, n)[0]
+
+
+def _factors(a: Alphabet) -> tuple[tuple[int, PolyQQ], ...]:
+    """The pairs (w, x) of H(u) = prod (1 - x*u)^-w at a; the constant is the atom 1."""
+    return ((a.constant, _ONE),) + a.atoms if a.constant else a.atoms
 
 
 def e_of(n: int, a: Alphabet) -> PolyQQ:
@@ -212,13 +199,23 @@ def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
     return _det(matrix)
 
 
+# Bounded above the largest per-process working set of the benchmark
+# workloads (250 values for one query-distinct batch).
+@lru_cache(maxsize=1024)
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
-    """Schur function s_mu at the point a (Jacobi-Trudi over h_of)."""
+    """Schur function s_mu at the point a, by Jacobi-Trudi.
+
+    From 3 parts on, where det_fraction_free packs, and at a point that is
+    not a constant, the matrix reads one row h_0..h_(mu_1+l-1) of
+    poly._series_product; otherwise it reads h_of.
+    """
     if mu.length > SCHUR_LENGTH_CAP:
         raise ValueError(
             f"partition length {mu.length} exceeds cap {SCHUR_LENGTH_CAP}"
         )
-    return jacobi_trudi(lambda k: h_of(k, a), mu)
+    if mu.length < 3 or a.is_constant:
+        return jacobi_trudi(lambda k: h_of(k, a), mu)
+    return jacobi_trudi(_series_product(_factors(a), mu[0] + mu.length - 1).__getitem__, mu)
 
 
 def hook_schur_constant(arm: int, leg: int, c: int) -> int:

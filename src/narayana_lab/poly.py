@@ -457,8 +457,30 @@ def _unpack(packed: int, w: int, n: int) -> list[int]:
     biased = packed + half * (((1 << w * n) - 1) // ((1 << w) - 1))
     if biased >> w * n:
         raise ArithmeticError("packed value has a digit past its last slot")
-    mask = (1 << w) - 1
-    return [((biased >> i) & mask) - half for i in range(0, w * n, w)]
+    digits: list[int] = []
+    _split(biased, w, n, half, digits)
+    return digits
+
+
+# Below this many slots _split cuts digit by digit: each cut copies the
+# value, but a short value is cheaper to copy than to split again.
+_SPLIT_BASE = 32
+
+
+def _split(biased: int, w: int, n: int, half: int, out: list[int]) -> None:
+    """Append the n w-bit fields of biased, less half, lowest first.
+
+    Halving at a slot boundary keeps the cost near that of one product of
+    the value's length; cutting one field at a time from the whole value
+    is quadratic in it.
+    """
+    if n <= _SPLIT_BASE:
+        mask = (1 << w) - 1
+        out.extend(((biased >> i) & mask) - half for i in range(0, w * n, w))
+        return
+    k = n // 2
+    _split(biased & ((1 << w * k) - 1), w, k, half, out)
+    _split(biased >> w * k, w, n - k, half, out)
 
 
 def _powers(row: _Row, d: int, n: int, w: int) -> tuple[list[int], int]:
@@ -532,6 +554,81 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
     if d == 1:
         return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
+
+
+def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) -> list[PolyQQ]:
+    """[u^lo], ..., [u^n] of prod (1 - x*u)^-w over the pairs (w, x), each x nonzero.
+
+    The x are scaled to integer numerators z over one lcm d, and shifted by
+    q^-s * q2^-s2 (s, s2 the lowest exponents, or 0) so that every exponent
+    is >= 0; then [u^m] is d^-m * q^(m*s) * q2^(m*s2) times [u^m] of
+    prod (1 - z*u)^-w.  With A the largest q-exponent of the shifted z,
+    every [u^m], m <= n, has its q-exponents in [0, S), S = n*A + 1, and the
+    ring map q -> t, q2 -> t^S, t -> 2^k packs each z into one int Z.  u
+    stays the list index: factor (w, z) is the ints C(w+i-1, i) * Z^i, and
+    _convolve multiplies them.  Each wanted [u^m] is decoded once by
+    _unpack.  k is one bit more than the largest wanted [u^m] of
+    prod (1 - |z|_1*u)^-|w|, taken exactly in ints, which bounds every
+    coefficient of that [u^m]: (1 - z*u)^-w has |C(w+i-1, i)| * |z^i|_1 <=
+    C(|w|+i-1, i) * |z|_1^i at u^i, with |.|_1 the sum of absolute values.
+    """
+    scaled = [(w, *_numerators(x._terms)) for w, x in factors]
+    d = lcm(*[dz for _, _, dz in scaled])
+    nums = [
+        (w, z if dz == d else {e: c * (d // dz) for e, c in z.items()})
+        for w, z, dz in scaled
+    ]
+    a_exps, b_exps = zip(*[e for _, z in nums for e in z])
+    s, s2 = min(0, min(a_exps)), min(0, min(b_exps))
+    top, top2 = max(a_exps) - s, max(b_exps) - s2
+    stride = n * top + 1
+    bound = _convolve([_binomial_powers(abs(w), sum(map(abs, z.values())), n) for w, z in nums], n, lo)
+    k = max(bound).bit_length() + 1
+    packed = _convolve(
+        [
+            _binomial_powers(w, sum(c << k * (a - s + stride * (b - s2)) for (a, b), c in z.items()), n)
+            for w, z in nums
+        ],
+        n,
+        lo,
+    )
+    out = []
+    for m, value in enumerate(packed, lo):
+        # [u^m] spans m*A + 1 slots in q and m*B + 1 rows of S in q2.
+        width = m * top + 1
+        digits = _unpack(value, k, stride * m * top2 + width)
+        dm = d**m
+        terms: dict[ExpPair, Coeff] = {}
+        for b in range(m * top2 + 1):
+            for a, v in enumerate(digits[b * stride:b * stride + width], m * s):
+                if v:
+                    terms[(a, b + m * s2)] = v if dm == 1 else _quotient(v, dm)
+        out.append(_wrap(terms))
+    return out
+
+
+def _binomial_powers(w: int, x: int, n: int) -> list[int]:
+    """C(w+i-1, i) * x^i for i = 0..n, the series of (1 - x*u)^-w; for w < 0 it ends at i = -w."""
+    out, c, power = [1], 1, 1
+    for i in range(1, n + 1 if w > 0 else min(n, -w) + 1):
+        # C(w+i-1, i) = C(w+i-2, i-1) * (w+i-1) / i, exact for any integer w.
+        c = c * (w + i - 1) // i
+        power *= x
+        out.append(c * power)
+    return out
+
+
+def _convolve(rows: list[list[int]], n: int, lo: int) -> list[int]:
+    """[u^lo..u^n] of the product of the series rows (ints at u^0, u^1, ...).
+
+    Each product is truncated at u^n, and the last one forms only the
+    coefficients from u^lo on.
+    """
+    acc = rows[0] + [0] * (n + 1 - len(rows[0]))
+    for j in range(1, len(rows)):
+        first = lo if j == len(rows) - 1 else 0
+        acc[first:] = [sum(map(mul, rows[j], acc[m::-1])) for m in range(first, n + 1)]
+    return acc[lo:]
 
 
 def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:

@@ -274,6 +274,29 @@ def test_alphabet_canonicalization():
     assert (a + Alphabet(atoms=((-3, Q),))).is_constant
 
 
+def test_alphabet_folds_constant_valued_atoms():
+    # One point written four ways: the constant 2, the atom 1 of weight 2,
+    # with an atom of value 0, and with both.
+    two = Alphabet(constant=2)
+    points = [
+        Alphabet(atoms=((2, ONE),)),
+        Alphabet(constant=2, atoms=((3, PolyQQ.zero()),)),
+        Alphabet(constant=5, atoms=((-3, ONE), (1, PolyQQ.zero()))),
+        Alphabet(constant=-1, atoms=((1, ONE), (2, ONE))),
+    ]
+    for p in points:
+        assert p == two and hash(p) == hash(two) and p.is_constant, p
+        assert p.constant == 2 and p.atoms == (), p
+    h_of.cache_clear()
+    for p in [two] + points:
+        assert h_of(6, p) == gen_binomial(7, 6)
+    assert h_of.cache_info().currsize == 1
+    # Any other constant value stays an atom: (1 - u/2)^-2 is not (1 - u)^-1.
+    half = Alphabet(atoms=((2, PolyQQ.const(2)),))
+    assert not half.is_constant and half != two
+    assert Alphabet(constant=1, atoms=((1, ONE), (1, Q))) == Alphabet(constant=2, atoms=((1, Q),))
+
+
 def naive_det(matrix):
     n = len(matrix)
     if n == 0:

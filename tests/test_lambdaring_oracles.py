@@ -1,11 +1,13 @@
-"""Differential tests of h_of and e_of against two independent routes.
+"""Differential tests of h_of, e_of and s_of against independent routes.
 
-The library evaluates h_n[a] from an integer coefficient table and one
-subst_q, and e_n[a] as (-1)^n h_n[-a].  Here they are checked against the
+The library evaluates h_n[a] by the packed series product
+poly._series_product, and e_n[a] as (-1)^n h_n[-a].  Here they are checked against the
 truncated series product (1-u)^-c * prod (1-x*u)^-w built with
-TruncSeries.int_pow, with e_n read off the inverse of the series at -u, and,
+TruncSeries.int_pow, with e_n read off the inverse of the series at -u;
 with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
-(1+u)^c * prod (1+x*u)^w.
+(1+u)^c * prod (1+x*u)^w; and, from three atoms, against the head/tail
+convolution that h_of took before the packed product.  s_of is checked
+against the Jacobi-Trudi determinant over h_of.
 """
 
 from __future__ import annotations
@@ -16,7 +18,18 @@ from fractions import Fraction
 import pytest
 
 from fuzzers import random_alphabet
-from narayana_lab.lambdaring import Alphabet, VALUE_ONE_MINUS_Q, VALUE_Q, e_of, h_of, h_series
+from narayana_lab import lambdaring
+from narayana_lab.lambdaring import (
+    Alphabet,
+    VALUE_ONE_MINUS_Q,
+    VALUE_Q,
+    e_of,
+    h_of,
+    h_series,
+    jacobi_trudi,
+    s_of,
+)
+from narayana_lab.partitions import Partition
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.series import TruncSeries
@@ -65,6 +78,70 @@ def test_h_and_e_match_the_series_route():
         for k in range(n + 1):
             assert h_of(k, a) == hs.coefficient(k), (k, a)
         assert e_of(n, a) == series_route_e(n, a), (n, a)
+
+
+def h_by_head_and_tail(n: int, a: Alphabet) -> PolyQQ:
+    """h_n[a] by the split a = head + tail, head the constant and the first
+    two atoms: h_n[head + tail] = sum_k h_k[head] * h_(n-k)[tail]."""
+    if len(a.atoms) <= 2:
+        return h_of(n, a)
+    head, tail = Alphabet(a.constant, a.atoms[:2]), Alphabet(0, a.atoms[2:])
+    out = PolyQQ.zero()
+    for k in range(n + 1):
+        out = out + h_by_head_and_tail(k, head) * h_by_head_and_tail(n - k, tail)
+    return out
+
+
+def test_h_from_three_atoms_matches_the_head_tail_split():
+    rng = random.Random(610)
+    for _ in range(120):
+        values = rng.sample(WIDE_ATOMS, rng.randint(3, 4))
+        weights = [rng.choice((-2, -1, 1, 2, 3)) for _ in values]
+        a = Alphabet(constant=rng.randint(-3, 3), atoms=tuple(zip(weights, values)))
+        assert len(a.atoms) >= 3
+        n = rng.randint(0, 14)
+        assert h_of(n, a) == h_by_head_and_tail(n, a), (n, a)
+        assert e_of(n, a) == (-1) ** n * h_by_head_and_tail(n, -a), (n, a)
+
+
+def test_s_matches_jacobi_trudi_over_h():
+    s_of.cache_clear()
+    rng = random.Random(611)
+    for _ in range(60):
+        a = random_point(rng, WIDE_ATOMS)
+        mu = Partition(sorted((rng.randint(1, 4) for _ in range(rng.randint(3, 6))), reverse=True))
+        assert s_of(mu, a) == jacobi_trudi(lambda k: h_of(k, a), mu), (mu, a)
+
+
+def test_h_takes_no_polynomial_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("PolyQQ product on the packed h route")
+
+    a = Alphabet(constant=-2, atoms=((2, Q), (-1, Q2), (3, VALUE_ONE_MINUS_Q), (1, ONE - Q2)))
+    b = Alphabet(atoms=((1, Q * Fraction(1, 2)), (2, PolyQQ.monomial(1, -1, 1)), (-1, ONE - Q)))
+    c = Alphabet(constant=3, atoms=((-3, Q),))
+    d = Alphabet(atoms=((2, Q2), (1, ONE - Q)))
+    expected = {(n, p): series_route_h(p, n).coefficient(n) for n in range(12) for p in (a, b, -a, c, d)}
+    h_of.cache_clear()
+    monkeypatch.setattr(PolyQQ, "__mul__", refuse)
+    for (n, p), want in expected.items():
+        assert h_of(n, p) == want, (n, p)
+
+
+def test_s_from_three_parts_reads_no_h_value(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("h_of on the Schur route from three parts")
+
+    cases = [
+        (Partition((3, 2, 2)), Alphabet(2, ((4, Q), (-3, Q2)))),
+        (Partition((2, 1, 1, 1)), Alphabet(atoms=((1, VALUE_ONE_MINUS_Q),))),
+        (Partition((4, 3, 3, 1, 1)), Alphabet(-1, ((1, Q), (2, Q2), (-1, ONE - Q2)))),
+    ]
+    expected = [jacobi_trudi(lambda k: h_of(k, a), mu) for mu, a in cases]
+    s_of.cache_clear()
+    monkeypatch.setattr(lambdaring, "h_of", refuse)
+    for (mu, a), want in zip(cases, expected):
+        assert s_of(mu, a) == want, (mu, a)
 
 
 def test_h_series_is_the_series_of_h_values():

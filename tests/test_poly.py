@@ -186,6 +186,41 @@ def test_unpack_raises_on_a_digit_past_the_last_slot(monkeypatch):
         (Q**2 * Q2 + 1).subst_q(ONE - Q)
 
 
+def unpack_digit_by_digit(packed: int, w: int, n: int) -> list[int]:
+    """The decoder _unpack replaced: each digit cut from the whole value."""
+    half = 1 << (w - 1)
+    biased = packed + half * (((1 << w * n) - 1) // ((1 << w) - 1))
+    if biased >> w * n:
+        raise ArithmeticError("packed value has a digit past its last slot")
+    mask = (1 << w) - 1
+    return [((biased >> i) & mask) - half for i in range(0, w * n, w)]
+
+
+def test_unpack_by_halving_matches_the_digit_loop():
+    rng = random.Random(31)
+    base = poly._SPLIT_BASE
+    for n in (1, 2, base - 1, base, base + 1, 2 * base, 2 * base + 1, 4 * base - 1, 1000):
+        for w in (1, 2, 7, 64, 100):
+            lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+            # Digits at both ends of the balanced range, and random ones.
+            for digits in (
+                [lo] * n,
+                [hi] * n,
+                [rng.choice((lo, hi)) for _ in range(n)],
+                [rng.randint(lo, hi) for _ in range(n)],
+            ):
+                packed = sum(c << w * i for i, c in enumerate(digits))
+                assert _unpack(packed, w, n) == unpack_digit_by_digit(packed, w, n) == digits
+                # Past the end: a digit of 2^(w-1) at the top carries into
+                # slot n, and so does any value of 2^(w*n) or more, or below
+                # the smallest packable value.
+                for bad in (packed + (1 << w * n), packed - (1 << w * n), hi + 1 << w * (n - 1)):
+                    with pytest.raises(ArithmeticError):
+                        unpack_digit_by_digit(bad, w, n)
+                    with pytest.raises(ArithmeticError):
+                        _unpack(bad, w, n)
+
+
 def permanent(a: list[list[int]]) -> int:
     return sum(prod(row[j] for row, j in zip(a, perm)) for perm in permutations(range(len(a))))
 

@@ -9,7 +9,8 @@ on Laurent matrices over denominators and at the edges of its packing,
 against DomainMatrix.det over QQ[q, q2]; Schur values at the query cap
 against sympy's integer determinants at three points;
 TruncSeries products and inverses against truncated sympy products, and
-TruncSeries.reverse by composing in sympy.
+TruncSeries.reverse by composing in sympy; the packed series product
+_series_product against the product of truncated series in that ring.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from narayana_lab.dsl import alphabet_of, evaluate, parse
 from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of
-from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _sum_powers
+from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _series_product, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
@@ -813,3 +814,70 @@ def test_reverse_composes_to_identity_in_sympy():
             power = truncate(power * g)
             composed += power * series_poly([c])
         assert composed == series_poly([PolyQQ.zero(), ONE]), coeffs
+
+
+def series_ring_terms(p: PolyQQ):
+    out = SERIES_RING.zero
+    for (a, b), v in p.items():
+        mono = (SQ**a if a >= 0 else SQI**-a) * (SQ2**b if b >= 0 else SQ2I**-b)
+        out += mono * sympy.QQ(v.numerator, v.denominator)
+    return out
+
+
+def ring_series_product(factors, n: int) -> list[dict]:
+    """Laurent terms of [u^0..u^n] of prod (1 - x*u)^-w, in sympy's ring.
+
+    (1 - x*u)^-w is the truncated geometric series sum (x*u)^i multiplied
+    by itself w times for w > 0, and 1 - x*u multiplied -w times for
+    w < 0; every product is truncated after u^n.
+    """
+    def truncated(f):
+        return SERIES_RING.from_dict({m: c for m, c in f.terms() if m[0] <= n})
+
+    out = SERIES_RING.one
+    for w, x in factors:
+        xu = SU * series_ring_terms(x)
+        base = sum((xu**i for i in range(n + 1)), SERIES_RING.zero) if w > 0 else 1 - xu
+        for _ in range(abs(w)):
+            out = truncated(out * truncated(base))
+    coeffs: list[dict] = [{} for _ in range(n + 1)]
+    for (k, i, j, m, l), c in out.terms():
+        key = (i - m, j - l)
+        coeffs[k][key] = coeffs[k].get(key, 0) + Fraction(int(c.numerator), int(c.denominator))
+    return [{key: c for key, c in terms.items() if c} for terms in coeffs]
+
+
+def test_series_product_against_sympy():
+    rng = random.Random(83)
+    pool = (
+        ONE, PolyQQ.const(3), PolyQQ.const(Fraction(-5, 3)), Q, ONE - Q, Q2, ONE - Q2,
+        Q * 2, Q**2, Q * Fraction(1, 2), PolyQQ.monomial(1, -1, 1), LAURENT_X, LAURENT_Y,
+    )
+    cases = []
+    for _ in range(40):
+        factors = [(rng.choice((-3, -2, -1, 1, 2, 3)), x) for x in rng.sample(pool, rng.randint(1, 4))]
+        n = rng.randint(0, 9)
+        cases.append((factors, n, rng.choice((0, rng.randint(0, n), n))))
+    # Three and four factors with lo > 0, where only the last factor may
+    # skip the coefficients below u^lo.
+    cases += [
+        ([(2, Q), (-1, ONE - Q2), (3, LAURENT_X)], 8, 5),
+        ([(1, ONE), (2, Q2), (1, ONE - Q), (2, PolyQQ.monomial(1, -1, 1))], 7, 7),
+    ]
+    # At the edge of the slot width: the x are one monomial times positive
+    # numbers and the weights positive, so [u^n] is one term whose
+    # numerator is the bound itself, prod (1 - |z|_1*u)^-|w| at u^n; with
+    # negative numbers its sign is (-1)^n.  Over integers, denominators and
+    # Laurent exponents.
+    for mono in ((0, 0), (1, 0), (-1, 2), (-2, -1)):
+        for sign in (1, -1):
+            for den in (1, 3):
+                numbers = (2, 5, 7) if den == 1 else (Fraction(2, 3), Fraction(5, 6), 7)
+                factors = [(w, PolyQQ.monomial(sign * c, *mono)) for w, c in zip((3, 1, 2), numbers)]
+                cases += [(factors, 9, 0), (factors, 10, 10), (factors[:1], 12, 3)]
+    for factors, n, lo in cases:
+        got = _series_product(factors, n, lo)
+        assert len(got) == n + 1 - lo
+        assert [dict(p.items()) for p in got] == ring_series_product(factors, n)[lo:], (factors, n, lo)
+        for p in got:
+            assert_canonical(p)

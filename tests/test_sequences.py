@@ -68,7 +68,7 @@ def test_every_memo_in_the_package_is_bounded():
                     memos[f"{fn.__module__}.{fn.__qualname__}"] = fn
     assert {"narayana_lab.sequences.narayana_row", "narayana_lab.sequences.catalan",
             "narayana_lab.sequences.jacobi11", "narayana_lab.lambdaring.h_of",
-            "narayana_lab.identities._thm6_table"} <= set(memos)
+            "narayana_lab.lambdaring.s_of", "narayana_lab.identities._thm6_table"} <= set(memos)
     for name, fn in memos.items():
         if fn.__name__ in singletons:
             assert not inspect.signature(fn).parameters, name
