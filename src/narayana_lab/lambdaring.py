@@ -110,7 +110,10 @@ class Alphabet:
 
 
 def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet:
-    """An Alphabet over atoms that are already merged, nonzero, of values other than 0 and 1, and sorted."""
+    """An Alphabet over atoms that are already canonical.
+
+    That is: merged, of nonzero weights, of values other than 0 and 1, and sorted.
+    """
     a = Alphabet.__new__(Alphabet)
     a.constant = constant
     a.atoms = atoms
