@@ -1,13 +1,14 @@
 """Differential tests of h_of, e_of and s_of against independent routes.
 
 The library evaluates h_n[a] by the packed series product
-poly._series_product, and e_n[a] as (-1)^n h_n[-a].  Here they are checked against the
-truncated series product (1-u)^-c * prod (1-x*u)^-w built with
+poly._series_product, and e_n[a] as (-1)^n h_n[-a].  Here they are checked
+against the truncated series product (1-u)^-c * prod (1-x*u)^-w built with
 TruncSeries.int_pow, with e_n read off the inverse of the series at -u;
 with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
-(1+u)^c * prod (1+x*u)^w; and, from three atoms, against the head/tail
-convolution that h_of took before the packed product.  s_of is checked
-against the Jacobi-Trudi determinant over h_of.
+(1+u)^c * prod (1+x*u)^w; and against the route h_of took before the
+packed product: an integer coefficient table and one subst_q up to two
+atoms, and from three a head/tail convolution.  s_of is checked against
+the Jacobi-Trudi determinant over h_of.
 """
 
 from __future__ import annotations
@@ -80,28 +81,46 @@ def test_h_and_e_match_the_series_route():
         assert e_of(n, a) == series_route_e(n, a), (n, a)
 
 
-def h_by_head_and_tail(n: int, a: Alphabet) -> PolyQQ:
-    """h_n[a] by the split a = head + tail, head the constant and the first
-    two atoms: h_n[head + tail] = sum_k h_k[head] * h_(n-k)[tail]."""
-    if len(a.atoms) <= 2:
-        return h_of(n, a)
-    head, tail = Alphabet(a.constant, a.atoms[:2]), Alphabet(0, a.atoms[2:])
-    out = PolyQQ.zero()
-    for k in range(n + 1):
-        out = out + h_by_head_and_tail(k, head) * h_by_head_and_tail(n - k, tail)
-    return out
+def h_by_table(n: int, a: Alphabet) -> PolyQQ:
+    """h_n[a] by the route h_of took before the packed series product.
+
+    For a = c + w1*x1 + w2*x2, the sum over i + j <= n of
+    C(c+n-i-j-1, n-i-j) * C(w1+i-1, i) * C(w2+j-1, j) * x1^i * x2^j, the
+    integers at exponents (i, j) and one subst_q for x1 and x2.  More atoms
+    split into a head (c and the first two atoms) and a tail, and
+    h_n[head + tail] = sum_k h_k[head] * h_(n-k)[tail].
+    """
+    c, atoms = a.constant, a.atoms
+    if len(atoms) > 2:
+        head, tail = Alphabet(c, atoms[:2]), Alphabet(0, atoms[2:])
+        out = PolyQQ.zero()
+        for k in range(n + 1):
+            out = out + h_by_table(k, head) * h_by_table(n - k, tail)
+        return out
+    if not atoms:
+        return PolyQQ.const(gen_binomial(c + n - 1, n))
+    hc = [gen_binomial(c + m - 1, m) for m in range(n + 1)]
+    w1, x1 = atoms[0]
+    r1 = [gen_binomial(w1 + i - 1, i) for i in range(n + 1)]
+    if len(atoms) == 1:
+        return PolyQQ.from_q_coefficients([hc[n - i] * r1[i] for i in range(n + 1)]).subst_q(x1)
+    w2, x2 = atoms[1]
+    r2 = [gen_binomial(w2 + j - 1, j) for j in range(n + 1)]
+    table = {(i, j): hc[n - i - j] * r1[i] * r2[j] for i in range(n + 1) for j in range(n + 1 - i)}
+    return PolyQQ(table).subst_q(x1, q2=x2)
 
 
-def test_h_from_three_atoms_matches_the_head_tail_split():
+def test_h_matches_the_table_and_head_tail_route():
     rng = random.Random(610)
-    for _ in range(120):
-        values = rng.sample(WIDE_ATOMS, rng.randint(3, 4))
-        weights = [rng.choice((-2, -1, 1, 2, 3)) for _ in values]
-        a = Alphabet(constant=rng.randint(-3, 3), atoms=tuple(zip(weights, values)))
-        assert len(a.atoms) >= 3
-        n = rng.randint(0, 14)
-        assert h_of(n, a) == h_by_head_and_tail(n, a), (n, a)
-        assert e_of(n, a) == (-1) ** n * h_by_head_and_tail(n, -a), (n, a)
+    for natoms in (0, 1, 2, 3, 3, 4, 4):
+        for _ in range(40):
+            values = rng.sample(WIDE_ATOMS, natoms)
+            weights = [rng.choice((-2, -1, 1, 2, 3)) for _ in values]
+            a = Alphabet(constant=rng.randint(-3, 3), atoms=tuple(zip(weights, values)))
+            assert len(a.atoms) == natoms
+            n = rng.randint(0, 14)
+            assert h_of(n, a) == h_by_table(n, a), (n, a)
+            assert e_of(n, a) == (-1) ** n * h_by_table(n, -a), (n, a)
 
 
 def test_s_matches_jacobi_trudi_over_h():
@@ -121,7 +140,7 @@ def test_h_takes_no_polynomial_product(monkeypatch):
     b = Alphabet(atoms=((1, Q * Fraction(1, 2)), (2, PolyQQ.monomial(1, -1, 1)), (-1, ONE - Q)))
     c = Alphabet(constant=3, atoms=((-3, Q),))
     d = Alphabet(atoms=((2, Q2), (1, ONE - Q)))
-    expected = {(n, p): series_route_h(p, n).coefficient(n) for n in range(12) for p in (a, b, -a, c, d)}
+    expected = {(n, p): h_by_table(n, p) for n in range(12) for p in (a, b, -a, c, d)}
     h_of.cache_clear()
     monkeypatch.setattr(PolyQQ, "__mul__", refuse)
     for (n, p), want in expected.items():
