@@ -746,16 +746,19 @@ def random_series(rng: random.Random, order: int) -> list[PolyQQ]:
     ]
 
 
+def series_ring_terms(p: PolyQQ):
+    out = SERIES_RING.zero
+    for (a, b), v in p.items():
+        mono = (SQ**a if a >= 0 else SQI**-a) * (SQ2**b if b >= 0 else SQ2I**-b)
+        out += mono * sympy.QQ(v.numerator, v.denominator)
+    return out
+
+
 def truncated_product(f: list[PolyQQ], g: list[PolyQQ], order: int) -> list[dict]:
     """Laurent terms of the coefficients of u^0..u^order of f(u)*g(u), as a
     product in a sympy ring with qi and q2i for q^-1 and q2^-1."""
     def to_series_ring(coeffs):
-        out = SERIES_RING.zero
-        for k, c in enumerate(coeffs):
-            for (a, b), v in c.items():
-                mono = (SQ**a if a >= 0 else SQI**-a) * (SQ2**b if b >= 0 else SQ2I**-b)
-                out += SU**k * mono * sympy.QQ(v.numerator, v.denominator)
-        return out
+        return sum((SU**k * series_ring_terms(c) for k, c in enumerate(coeffs)), SERIES_RING.zero)
 
     out: list[dict] = [{} for _ in range(order + 1)]
     for (k, i, j, m, n), c in (to_series_ring(f) * to_series_ring(g)).terms():
@@ -814,14 +817,6 @@ def test_reverse_composes_to_identity_in_sympy():
             power = truncate(power * g)
             composed += power * series_poly([c])
         assert composed == series_poly([PolyQQ.zero(), ONE]), coeffs
-
-
-def series_ring_terms(p: PolyQQ):
-    out = SERIES_RING.zero
-    for (a, b), v in p.items():
-        mono = (SQ**a if a >= 0 else SQI**-a) * (SQ2**b if b >= 0 else SQ2I**-b)
-        out += mono * sympy.QQ(v.numerator, v.denominator)
-    return out
 
 
 def ring_series_product(factors, n: int) -> list[dict]:
