@@ -12,7 +12,9 @@ from subst_q or from _sum_powers, is summed by one kernel, _horner, which packs
 each dense int row into one int at t = 2^w (Kronecker substitution), so that
 the sum runs in CPython's bigint arithmetic.  Determinants from 3 x 3 on are
 taken the same way: _det packs each entry into one int and runs Bareiss
-elimination on them.
+elimination on them.  So are products of series prod (1 - x*u)^-w, the
+generating series of complete functions: _series_product packs each x into
+one int and keeps u as the list index.
 """
 
 from __future__ import annotations
