@@ -7,9 +7,9 @@ of their generating series, which poly._series_product multiplies out on one
 packed Python int per coefficient (Kronecker substitution); elementary
 functions come from the lambda-ring negation e_n[a] = (-1)^n h_n[-a]; power
 sums directly from the atom values; Schur functions from the Jacobi-Trudi
-determinant, whose matrix reads one such row of complete functions from three
-parts on, and which det_fraction_free takes by Bareiss elimination on one
-packed int per entry and decodes once (a 2 x 2 by its two products).
+determinant, whose matrix reads one such row of complete functions, and which
+det_fraction_free takes by Bareiss elimination on one packed int per entry
+and decodes once (a 2 x 2 by its two products).
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet
 
 
 # Bounded above the largest per-process working set of the benchmark
-# workloads (1385 values for verify --max-n 20, 835 for one query-distinct
+# workloads (1385 values for verify --max-n 20, 500 for one query-distinct
 # batch), so it evicts nothing there.
 @lru_cache(maxsize=4096)
 def h_of(n: int, a: Alphabet) -> PolyQQ:
@@ -208,15 +208,14 @@ def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
     """Schur function s_mu at the point a, by Jacobi-Trudi.
 
-    From 3 parts on, where det_fraction_free packs, and at a point that is
-    not a constant, the matrix reads one row h_0..h_(mu_1+l-1) of
-    poly._series_product; otherwise it reads h_of.
+    At a point that is not a constant the matrix reads one row
+    h_0..h_(mu_1+l-1) of poly._series_product; at a constant it reads h_of.
     """
     if mu.length > SCHUR_LENGTH_CAP:
         raise ValueError(
             f"partition length {mu.length} exceeds cap {SCHUR_LENGTH_CAP}"
         )
-    if mu.length < 3 or a.is_constant:
+    if not mu.length or a.is_constant:
         return jacobi_trudi(lambda k: h_of(k, a), mu)
     return jacobi_trudi(_series_product(_factors(a), mu[0] + mu.length - 1).__getitem__, mu)
 

@@ -569,10 +569,12 @@ def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) 
     ring map q -> t, q2 -> t^S, t -> 2^k packs each z into one int Z.  u
     stays the list index: factor (w, z) is the ints C(w+i-1, i) * Z^i, and
     _convolve multiplies them.  Each wanted [u^m] is decoded once by
-    _unpack.  k is one bit more than the largest wanted [u^m] of
-    prod (1 - |z|_1*u)^-|w|, taken exactly in ints, which bounds every
-    coefficient of that [u^m]: (1 - z*u)^-w has |C(w+i-1, i)| * |z^i|_1 <=
-    C(|w|+i-1, i) * |z|_1^i at u^i, with |.|_1 the sum of absolute values.
+    _unpack.  k is one bit more than the largest wanted [u^m] of the
+    product of the majorants |C(w+i-1, i)| * |z|_1^i, with |.|_1 the sum of
+    absolute values, taken exactly in ints; it bounds every coefficient of
+    that [u^m], since (1 - z*u)^-w has |C(w+i-1, i)| * |z^i|_1 at u^i and
+    |z^i|_1 <= |z|_1^i.  For w > 0 the majorant is the series of
+    (1 - |z|_1*u)^-w, for w < 0 the polynomial (1 + |z|_1*u)^-w.
     """
     scaled = [(w, *_numerators(x._terms)) for w, x in factors]
     d = lcm(*[dz for _, _, dz in scaled])
@@ -584,7 +586,9 @@ def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) 
     s, s2 = min(0, min(a_exps)), min(0, min(b_exps))
     top, top2 = max(a_exps) - s, max(b_exps) - s2
     stride = n * top + 1
-    bound = _convolve([_binomial_powers(abs(w), sum(map(abs, z.values())), n) for w, z in nums], n, lo)
+    bound = _convolve(
+        [[abs(c) for c in _binomial_powers(w, sum(map(abs, z.values())), n)] for w, z in nums], n, lo
+    )
     k = max(bound).bit_length() + 1
     packed = _convolve(
         [

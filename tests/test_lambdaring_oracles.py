@@ -128,7 +128,7 @@ def test_s_matches_jacobi_trudi_over_h():
     rng = random.Random(611)
     for _ in range(60):
         a = random_point(rng, WIDE_ATOMS)
-        mu = Partition(sorted((rng.randint(1, 4) for _ in range(rng.randint(3, 6))), reverse=True))
+        mu = Partition(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 6))), reverse=True))
         assert s_of(mu, a) == jacobi_trudi(lambda k: h_of(k, a), mu), (mu, a)
 
 
@@ -147,11 +147,13 @@ def test_h_takes_no_polynomial_product(monkeypatch):
         assert h_of(n, p) == want, (n, p)
 
 
-def test_s_from_three_parts_reads_no_h_value(monkeypatch):
+def test_s_off_a_constant_reads_no_h_value(monkeypatch):
     def refuse(*args):
-        raise AssertionError("h_of on the Schur route from three parts")
+        raise AssertionError("h_of on the Schur route at a non-constant point")
 
     cases = [
+        (Partition((1,)), Alphabet(atoms=((1, Q),))),
+        (Partition((5, 2)), Alphabet(-3, ((2, Q2), (1, ONE - Q)))),
         (Partition((3, 2, 2)), Alphabet(2, ((4, Q), (-3, Q2)))),
         (Partition((2, 1, 1, 1)), Alphabet(atoms=((1, VALUE_ONE_MINUS_Q),))),
         (Partition((4, 3, 3, 1, 1)), Alphabet(-1, ((1, Q), (2, Q2), (-1, ONE - Q2)))),

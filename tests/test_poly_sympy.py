@@ -859,17 +859,20 @@ def test_series_product_against_sympy():
         ([(2, Q), (-1, ONE - Q2), (3, LAURENT_X)], 8, 5),
         ([(1, ONE), (2, Q2), (1, ONE - Q), (2, PolyQQ.monomial(1, -1, 1))], 7, 7),
     ]
-    # At the edge of the slot width: the x are one monomial times positive
-    # numbers and the weights positive, so [u^n] is one term whose
-    # numerator is the bound itself, prod (1 - |z|_1*u)^-|w| at u^n; with
-    # negative numbers its sign is (-1)^n.  Over integers, denominators and
-    # Laurent exponents.
+    # At the edge of the slot width: the x are one monomial times numbers of
+    # one sign and the weights of one sign, so [u^n] is one term whose
+    # numerator is, up to sign, the bound itself: the product of the
+    # majorants at u^n, prod (1 - |z|_1*u)^-w for positive weights and
+    # prod (1 + |z|_1*u)^-w for negative ones.  Over integers, denominators
+    # and Laurent exponents.
     for mono in ((0, 0), (1, 0), (-1, 2), (-2, -1)):
         for sign in (1, -1):
             for den in (1, 3):
                 numbers = (2, 5, 7) if den == 1 else (Fraction(2, 3), Fraction(5, 6), 7)
                 factors = [(w, PolyQQ.monomial(sign * c, *mono)) for w, c in zip((3, 1, 2), numbers)]
                 cases += [(factors, 9, 0), (factors, 10, 10), (factors[:1], 12, 3)]
+                factors = [(-w, x) for w, x in factors]
+                cases += [(factors, 6, 0), (factors, 4, 4), (factors[:1], 3, 2)]
     for factors, n, lo in cases:
         got = _series_product(factors, n, lo)
         assert len(got) == n + 1 - lo
