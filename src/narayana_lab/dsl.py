@@ -23,6 +23,7 @@ is not a DslError, and spends quadratic time below that.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .lambdaring import (
@@ -87,57 +88,43 @@ class PrincipalHL:
 Expr = BasisApp | PrincipalHL
 
 _SYMBOLS = "[]{},+-*"
-# ASCII only: str.isdigit() also holds for '²', which int() refuses, and for
-# '٣', which int() reads as 3.
-_DIGITS = "0123456789"
+
+# A token is (kind, text, byte offset); kind is 'word', 'nat', one of the
+# symbols, or 'end'.
+_Token = tuple[str, str, int]
+# One match per token: a symbol, a run of ASCII digits, a letter with the
+# ASCII digits after it, or any other character, which is refused.  \s is
+# exactly str.isspace, and finditer steps over it.  Digits are ASCII only:
+# str.isdigit() also holds for '²', which int() refuses, and for '٣', which
+# int() reads as 3.  [^\W\d_] holds every letter (str.isalpha) and a few
+# other characters, such as '²', which are refused at their offset.
+_TOKENS = re.compile(r"(?P<symbol>[\[\]{},+*-])|(?P<nat>[0-9]+)|(?P<word>[^\W\d_])[0-9]*|\S")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'word', 'nat', one of the symbols, or 'end'
-    text: str
-    pos: int
-
-
-def _check_digits(start: int, end: int) -> None:
-    if end - start > _DIGITS_CAP:
-        raise DslError(
-            start,
-            (f"at most {_DIGITS_CAP} digits (the query cap is {QUERY_CAP})",),
-            f"{end - start} digits",
-        )
+def _digits_error(start: int, count: int) -> DslError:
+    return DslError(
+        start,
+        (f"at most {_DIGITS_CAP} digits (the query cap is {QUERY_CAP})",),
+        f"{count} digits",
+    )
 
 
 def _lex(text: str) -> list[_Token]:
     out: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKENS.finditer(text):
+        kind, token, pos = m.lastgroup, m[0], m.start()
+        if kind == "symbol":
+            out.append((token, token, pos))
             continue
-        if ch in _SYMBOLS:
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            _check_digits(i, j)
-            out.append(_Token("nat", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            _check_digits(i + 1, j)
-            out.append(_Token("word", text[i:j], i))
-            i = j
-            continue
-        raise DslError(i, ("a letter", "a digit", "punctuation"), repr(ch))
-    out.append(_Token("end", "", len(text)))
+        if kind == "nat":
+            if len(token) > _DIGITS_CAP:
+                raise _digits_error(pos, len(token))
+        elif kind is None or not token[0].isalpha():
+            raise DslError(pos, ("a letter", "a digit", "punctuation"), repr(token[0]))
+        elif len(token) > _DIGITS_CAP + 1:
+            raise _digits_error(pos + 1, len(token) - 1)
+        out.append((kind, token, pos))
+    out.append(("end", "", len(text)))
     return out
 
 
@@ -146,30 +133,25 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
     def _fail(self, *expected: str):
-        tok = self.cur
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise DslError(tok.pos, expected, found)
+        kind, text, pos = self.tokens[self.i]
+        raise DslError(pos, expected, "end of input" if kind == "end" else repr(text))
 
-    def take(self, kind: str) -> _Token:
-        tok = self.cur
-        if tok.kind != kind:
+    def take(self, kind: str) -> str:
+        tok = self.tokens[self.i]
+        if tok[0] != kind:
             self._fail(f"'{kind}'" if kind in _SYMBOLS else kind)
         self.i += 1
-        return tok
+        return tok[1]
 
     def nat(self) -> int:
-        return int(self.take("nat").text)
+        return int(self.take("nat"))
 
     def parse_query(self) -> Expr:
-        tok = self.cur
-        if tok.kind != "word":
+        kind, text, pos = self.tokens[self.i]
+        if kind != "word":
             self._fail("basis name", "'P'")
-        if tok.text == "P":
+        if text == "P":
             self.i += 1
             self.take("{")
             r = self.nat()
@@ -178,16 +160,16 @@ class _Parser:
             self.take("}")
             self.take("end")
             return PrincipalHL(r, n)
-        head, digits = tok.text[0], tok.text[1:]
+        head, digits = text[0], text[1:]
         if head in "hep":
             if not digits:
-                raise DslError(tok.pos + 1, ("index digits",), "end of name")
+                raise DslError(pos + 1, ("index digits",), "end of name")
             self.i += 1
             index: int | None = int(digits)
             partition = None
         elif head in "sm" and not digits:
             self.i += 1
-            partition = self.parse_partition(tok)
+            partition = self.parse_partition(pos)
             index = None
         else:
             self._fail("one of h/e/p/s/m", "'P'")
@@ -198,60 +180,56 @@ class _Parser:
         expr = BasisApp(head, index, partition, alpha)
         if head == "m" and any(isinstance(t.atom, str) for t in alpha):
             bad = next(t for t in alpha if isinstance(t.atom, str))
-            raise DslError(
-                self.tokens[0].pos,
-                ("a constant alphabet for m",),
-                f"rank-1 atom {bad.atom!r}",
-            )
+            raise DslError(pos, ("a constant alphabet for m",), f"rank-1 atom {bad.atom!r}")
         return expr
 
-    def parse_partition(self, head: _Token) -> tuple[int, ...]:
+    def parse_partition(self, pos: int) -> tuple[int, ...]:
         self.take("{")
         parts = [self.nat()]
-        while self.cur.kind == ",":
+        while self.tokens[self.i][0] == ",":
             self.i += 1
             parts.append(self.nat())
         self.take("}")
         for i in range(1, len(parts)):
             if parts[i] > parts[i - 1] or parts[i] < 1:
                 raise DslError(
-                    head.pos, ("a weakly decreasing positive partition",), str(tuple(parts))
+                    pos, ("a weakly decreasing positive partition",), str(tuple(parts))
                 )
         if parts[0] < 1:
-            raise DslError(head.pos, ("positive partition parts",), str(tuple(parts)))
+            raise DslError(pos, ("positive partition parts",), str(tuple(parts)))
         return tuple(parts)
 
     def parse_alpha(self) -> tuple[AlphaTerm, ...]:
         terms = [self.parse_term(1)]
-        while self.cur.kind in "+-":
-            sign = 1 if self.cur.kind == "+" else -1
+        tokens = self.tokens
+        while (kind := tokens[self.i][0]) in "+-":
             self.i += 1
-            terms.append(self.parse_term(sign))
+            terms.append(self.parse_term(1 if kind == "+" else -1))
         return tuple(terms)
 
     def parse_term(self, sign: int) -> AlphaTerm:
-        tok = self.cur
-        if tok.kind == "nat":
+        kind, text, pos = self.tokens[self.i]
+        if kind == "nat":
             self.i += 1
-            value = int(tok.text)
-            if self.cur.kind == "*":
+            value = int(text)
+            if self.tokens[self.i][0] == "*":
                 self.i += 1
                 if value == 0:
-                    raise DslError(tok.pos, ("a nonzero multiplier",), "0")
+                    raise DslError(pos, ("a nonzero multiplier",), "0")
                 return AlphaTerm(sign, value, self.parse_atom())
             return AlphaTerm(sign, None, value)
-        if tok.kind == "word":
+        if kind == "word":
             return AlphaTerm(sign, None, self.parse_atom())
         self._fail("a number", "an atom")
 
     def parse_atom(self) -> int | str:
-        tok = self.cur
-        if tok.kind == "nat":
+        kind, text, _ = self.tokens[self.i]
+        if kind == "nat":
             self.i += 1
-            return int(tok.text)
-        if tok.kind == "word" and tok.text in ATOM_VALUES:
+            return int(text)
+        if kind == "word" and text in ATOM_VALUES:
             self.i += 1
-            return tok.text
+            return text
         self._fail("one of q/Q/q2/Q2", "a number")
 
 

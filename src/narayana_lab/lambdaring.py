@@ -6,15 +6,15 @@ functions are the coefficients of the product form (1-u)^-c * prod (1-x*u)^-w
 of their generating series, which poly._series_product multiplies out on one
 packed Python int per coefficient (Kronecker substitution); elementary
 functions come from the lambda-ring negation e_n[a] = (-1)^n h_n[-a]; power
-sums directly from the atom values; Schur functions from the Jacobi-Trudi
-determinant, whose matrix reads one such row of complete functions, and which
-det_fraction_free takes by Bareiss elimination on one packed int per entry
-and decodes once (a 2 x 2 by its two products).
+sums from the n-th powers of the atom values, each one packed int power
+(PolyQQ.__pow__); Schur functions from the Jacobi-Trudi determinant, whose
+matrix reads one such row of complete functions, and which det_fraction_free
+takes by Bareiss elimination on one packed int per entry and decodes once (a
+2 x 2 by its two products).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
@@ -36,8 +36,10 @@ SCHUR_LENGTH_CAP = 12
 POWER_SUM_CAP = 30
 
 
-def _poly_sort_key(p: PolyQQ):
-    return tuple(sorted((exps, Fraction(c)) for exps, c in p.items()))
+def _poly_sort_key(cv: tuple[int, PolyQQ]) -> list:
+    # Exponent pairs are unique in one value, and ints and Fractions compare
+    # exactly with each other, so the terms as they are order the values.
+    return sorted(cv[1].items())
 
 
 class Alphabet:
@@ -64,7 +66,7 @@ class Alphabet:
         self.atoms = tuple(
             sorted(
                 ((c, v) for v, c in merged.items() if c),
-                key=lambda cv: _poly_sort_key(cv[1]),
+                key=_poly_sort_key,
             )
         )
 
@@ -162,13 +164,19 @@ def h_series(a: Alphabet, order: int) -> TruncSeries:
 
 
 def p_of(n: int, a: Alphabet) -> PolyQQ:
-    """Power sum p_n at the point a: the constant plus weighted n-th powers."""
+    """Power sum p_n at the point a: the constant plus weighted n-th powers.
+
+    Each power is one packed int power (PolyQQ.__pow__), and the weighted
+    terms are summed in one dict.
+    """
     if n < 1:
         raise ValueError("p_of needs n >= 1")
-    out = PolyQQ.const(a.constant)
+    terms: dict = {(0, 0): a.constant}
+    get = terms.get
     for coeff, value in a.atoms:
-        out = out + value**n * coeff
-    return out
+        for exps, c in (value**n).items():
+            terms[exps] = get(exps, 0) + coeff * c
+    return PolyQQ(terms)
 
 
 def m_of_constant(mu: Partition, c: int) -> int:

@@ -7,14 +7,23 @@ a value is an honest polynomial with integer coefficients.
 Products, evaluation and substitution run on Python ints alone: each operand
 is scaled to integer numerators over the lcm of its denominators (1, with
 nothing copied, for an integer polynomial), the kernel accumulates ints, and a
-Fraction is built once per output value, at the boundary.  Every power sum,
-from subst_q or from _sum_powers, is summed by one kernel, _horner, which packs
-each dense int row into one int at t = 2^w (Kronecker substitution), so that
-the sum runs in CPython's bigint arithmetic.  Determinants from 3 x 3 on are
-taken the same way: _det packs each entry into one int and runs Bareiss
-elimination on them.  So are products of series prod (1 - x*u)^-w, the
-generating series of complete functions: _series_product packs each x into
-one int and keeps u as the list index.
+Fraction is built once per output value, at the boundary.  The kernels pack
+values into Python ints at t = 2^w (Kronecker substitution), so that the work
+runs in CPython's bigint arithmetic, and read the result's digits once
+(_unpack, _decode):
+
+- sums of powers sum c_ab*x^a*y^b, from subst_q or from _sum_powers: _horner
+  packs each dense int row into one int;
+- integer powers x^e (PolyQQ.__pow__, so also the power sums p_n): one int
+  power of x packed;
+- determinants from 3 x 3 on: _det packs each entry into one int and runs
+  Bareiss elimination on them;
+- products of series prod (1 - x*u)^-w, the generating series of complete
+  functions: _series_product packs each x into one int and keeps u as the
+  list index.
+
+A value is rendered in one pass over its sorted exponents, with the names of
+its monomials read from a bounded table.
 """
 
 from __future__ import annotations
@@ -236,23 +245,43 @@ class PolyQQ:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> PolyQQ:
+        """self^e; a negative e only for a nonzero monomial.
+
+        A monomial c*q^a*q2^b is c^e at e*(a, b).  Any other value is scaled
+        to integer numerators x over one denominator d and shifted by
+        q^-s * q2^-s2 (s, s2 its lowest exponents) so that every exponent
+        is >= 0.  With A its top q-exponent so shifted, x^e has its
+        q-exponents in [0, S), S = e*A + 1, and the ring map q -> t,
+        q2 -> t^S, t -> 2^w packs x into one int X.  X^e is one int power,
+        decoded once by _unpack; w is one bit more than the bit length of
+        |x|_1^e, with |.|_1 the sum of absolute values, which bounds every
+        coefficient of x^e.  The result is divided by d^e and shifted back
+        by q^(e*s) * q2^(e*s2).
+        """
+        if not isinstance(e, int):
+            return NotImplemented
         if e == 0:
             return _ONE
+        terms = self._terms
+        if not terms:
+            if e < 0:
+                raise ZeroDivisionError("zero raised to a negative power")
+            return _ZERO
+        if len(terms) == 1:
+            ((a, b), c), = terms.items()
+            return _wrap({(e * a, e * b): c**e if e > 0 else _quotient(1, c**-e)})
         if e < 0:
-            if not self.is_monomial():
-                raise ExactDivisionError(
-                    "negative power of a non-monomial Laurent polynomial"
-                )
-            ((a, b), c), = self._terms.items()
-            return PolyQQ.monomial(_quotient(1, c), -a, -b) ** (-e)
-        base, acc = self, None
-        while True:
-            if e & 1:
-                acc = base if acc is None else acc * base
-            e >>= 1
-            if not e:
-                return acc
-            base = base * base
+            raise ExactDivisionError("negative power of a non-monomial Laurent polynomial")
+        if e == 1:
+            return self
+        nums, d = _numerators(terms)
+        a_exps, b_exps = zip(*nums)
+        s, s2 = min(a_exps), min(b_exps)
+        stride = e * (max(a_exps) - s) + 1
+        w = (sum(map(abs, nums.values())) ** e).bit_length() + 1
+        packed = sum(c << w * (a - s + stride * (b - s2)) for (a, b), c in nums.items()) ** e
+        digits = _unpack(packed, w, stride * e * (max(b_exps) - s2) + stride)
+        return _decode(digits, stride, stride, e * s, e * s2, d**e)
 
     def divexact(self, divisor: PolyQQ) -> PolyQQ:
         """Exact division in the Laurent ring; raises ExactDivisionError otherwise."""
@@ -402,30 +431,52 @@ class PolyQQ:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        """Terms by descending (deg_q, deg_q2), as in "3*q^2*q2 - 1/2*q + 1"."""
+        terms = self._terms
+        if not terms:
             return "0"
         pieces: list[str] = []
-        for (a, b), c in sorted(self._terms.items(), reverse=True):
-            factors = []
-            if a:
-                factors.append("q" if a == 1 else f"q^{a}")
-            if b:
-                factors.append("q2" if b == 1 else f"q2^{b}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+        append = pieces.append
+        for exps in sorted(terms, reverse=True):
+            c = terms[exps]
+            name = _NAMES.get(exps)
+            if name is None:
+                name = _monomial_name(exps)
+            sign = " + "
+            if c < 0:
+                sign, c = " - ", -c
+            if not name:
+                append(f"{sign}{c}")
+            elif c == 1:
+                append(sign + name)
             else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(f"-{body}" if c < 0 else body)
-            else:
-                pieces.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(pieces)
+                append(f"{sign}{c}*{name}")
+        # The first term has no spaces around its sign, and no "+".
+        text = "".join(pieces)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     def __repr__(self) -> str:
         return f"PolyQQ({self})"
+
+
+# Rendered monomials by exponent pair, bounded: past the cap a name is built
+# and not kept.
+_NAMES_CAP = 4096
+_NAMES: dict[ExpPair, str] = {}
+
+
+def _monomial_name(exps: ExpPair) -> str:
+    """"q^a*q2^b" without the factors of exponent 0 or 1 ("" at (0, 0))."""
+    a, b = exps
+    factors = []
+    if a:
+        factors.append("q" if a == 1 else f"q^{a}")
+    if b:
+        factors.append("q2" if b == 1 else f"q2^{b}")
+    name = "*".join(factors)
+    if len(_NAMES) < _NAMES_CAP:
+        _NAMES[exps] = name
+    return name
 
 
 # A value of the Horner kernel: a Laurent polynomial in one variable t, as its
@@ -603,13 +654,7 @@ def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) 
         # [u^m] spans m*A + 1 slots in q and m*B + 1 rows of S in q2.
         width = m * top + 1
         digits = _unpack(value, k, stride * m * top2 + width)
-        dm = d**m
-        terms: dict[ExpPair, Coeff] = {}
-        for b in range(m * top2 + 1):
-            for a, v in enumerate(digits[b * stride:b * stride + width], m * s):
-                if v:
-                    terms[(a, b + m * s2)] = v if dm == 1 else _quotient(v, dm)
-        out.append(_wrap(terms))
+        out.append(_decode(digits, stride, width, m * s, m * s2, d**m))
     return out
 
 
@@ -708,13 +753,20 @@ def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
             _divide_exactly(m[k + 1:], k + 1, prev)
         prev = pivot
     digits = _unpack(sign * m[-1][-1], w, stride * span2)
-    lo, lo2, dn = sum(r) + sum(c), sum(r2) + sum(c2), d**n
-    out: dict[ExpPair, Coeff] = {}
-    for b in range(span2):
-        for a, v in enumerate(digits[b * stride:(b + 1) * stride], lo):
+    return _decode(digits, stride, stride, sum(r) + sum(c), sum(r2) + sum(c2), d**n)
+
+
+def _decode(digits: list[int], stride: int, width: int, lo: int, lo2: int, d: int) -> PolyQQ:
+    """The value with digits[b*stride + a] / d at q^(lo+a) * q2^(lo2+b), for a < width.
+
+    The decoded side of the ring map q -> t, q2 -> t^stride of the packed kernels.
+    """
+    terms: dict[ExpPair, Coeff] = {}
+    for b, start in enumerate(range(0, len(digits), stride), lo2):
+        for a, v in enumerate(digits[start:start + width], lo):
             if v:
-                out[(a, b + lo2)] = v if dn == 1 else _quotient(v, dn)
-    return _wrap(out)
+                terms[(a, b)] = v if d == 1 else _quotient(v, d)
+    return _wrap(terms)
 
 
 # The range of a zero entry: min and max pass over it.

@@ -76,6 +76,24 @@ def test_negative_corpus_positions():
         assert info.value.expected
 
 
+def test_lexer_error_corpus_is_pinned():
+    # Non-ASCII letters lex as words, so the parser reports them; the
+    # offsets and expected tokens are the ones the per-character lexer gave.
+    corpus = {
+        "h2[é]": (3, ("one of q/Q/q2/Q2", "a number")),
+        "é2[q]": (0, ("one of h/e/p/s/m", "'P'")),
+        "hé[q]": (1, ("index digits",)),
+        "h2[q] x": (6, ("end",)),
+    }
+    for text, (offset, expected) in corpus.items():
+        with pytest.raises(DslError) as info:
+            parse(text)
+        assert (info.value.position, info.value.expected) == (offset, expected), text
+    q = BasisApp("h", 2, None, (AlphaTerm(1, None, "q"),))
+    assert parse("h2[ q]") == q
+    assert parse("h2[q]\t\n") == q
+
+
 def test_eval_domain_errors_propagate():
     with pytest.raises(ValueError):
         eval_text("p0[q]")

@@ -85,6 +85,26 @@ def test_pow():
         (Q + 1) ** -1
 
 
+def test_zero_to_a_negative_power_divides_by_zero():
+    # As divexact and eval do: zero has no inverse, which is not an inexact division.
+    for e in (-1, -4):
+        with pytest.raises(ZeroDivisionError):
+            PolyQQ.zero() ** e
+    assert PolyQQ.zero() ** 3 == PolyQQ.zero()
+
+
+def test_pow_refuses_an_exponent_that_is_not_an_int():
+    for e in (2.0, Fraction(1, 2), "2", None):
+        assert Q.__pow__(e) is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Q**e
+        with pytest.raises(TypeError, match="unsupported operand"):
+            (Q + 1) ** e
+    # A whole Fraction is Fraction.__rpow__'s: it passes its numerator back.
+    assert Q.__pow__(Fraction(2)) is NotImplemented
+    assert (Q + 1) ** Fraction(2) == (Q + 1) ** 2
+
+
 def test_divexact_roundtrip_random():
     rng = random.Random(5)
     checked = 0
@@ -134,6 +154,67 @@ def test_canonical_rendering():
     assert str(Q**2 * Q2**3 * 6 + Q2) == "6*q^2*q2^3 + q2"
     # terms sorted by (deg_q, deg_q2) descending
     assert str(Q2 + Q) == "q + q2"
+
+
+def render_term_by_term(p: PolyQQ) -> str:
+    """The renderer __str__ replaced: factor lists joined per term."""
+    if p.is_zero:
+        return "0"
+    pieces: list[str] = []
+    for (a, b), c in sorted(p.items(), reverse=True):
+        factors = []
+        if a:
+            factors.append("q" if a == 1 else f"q^{a}")
+        if b:
+            factors.append("q2" if b == 1 else f"q2^{b}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+def random_rendering_case(rng: random.Random, spread: int) -> PolyQQ:
+    """Up to 8 terms at exponents in -spread..spread, of every coefficient kind."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps = (rng.randint(-spread, spread), rng.randint(-spread, spread))
+        if rng.random() < 0.15:
+            exps = (0, 0)
+        kind = rng.randrange(5)
+        if kind == 0:
+            c = rng.choice((1, -1))
+        elif kind == 1:
+            c = rng.randint(-99, 99)
+        elif kind == 2:
+            c = Fraction(rng.randint(-99, 99), rng.randint(2, 40))
+        elif kind == 3:
+            c = rng.choice((1, -1)) * (10**199 + rng.randrange(10**199))
+        else:
+            c = Fraction(rng.choice((1, -1)) * 10**199 + rng.randint(-9, 9), 10**150 + rng.randint(1, 9))
+        terms[exps] = c
+    return PolyQQ(terms)
+
+
+def test_rendering_matches_the_term_by_term_renderer():
+    rng = random.Random(1903)
+    cases = [PolyQQ.zero(), ONE, -ONE, PolyQQ.const(Fraction(-1, 2)), Q, -Q2, PolyQQ.monomial(-1, -1, -1)]
+    cases += [random_rendering_case(rng, 3) for _ in range(2000)]
+    # Wide exponents: more monomials than the table of names keeps.
+    cases += [random_rendering_case(rng, 60) for _ in range(1500)]
+    kinds = {type(c) for p in cases for _, c in p.items()}
+    assert kinds == {int, Fraction}
+    assert any(e < 0 for p in cases for (a, b), _ in p.items() for e in (a, b))
+    for p in cases:
+        assert str(p) == render_term_by_term(p), dict(p.items())
+    assert len(poly._NAMES) == poly._NAMES_CAP
 
 
 def test_q_coefficients():

@@ -10,7 +10,9 @@ against DomainMatrix.det over QQ[q, q2]; Schur values at the query cap
 against sympy's integer determinants at three points;
 TruncSeries products and inverses against truncated sympy products, and
 TruncSeries.reverse by composing in sympy; the packed series product
-_series_product against the product of truncated series in that ring.
+_series_product against the product of truncated series in that ring; the
+packed power PolyQQ.__pow__, and the power sums p_of that read it, against
+powers in that ring.
 """
 
 import random
@@ -19,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.dsl import alphabet_of, evaluate, parse
-from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of
+from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of, p_of
 from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _series_product, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
@@ -879,3 +881,78 @@ def test_series_product_against_sympy():
         assert [dict(p.items()) for p in got] == ring_series_product(factors, n)[lo:], (factors, n, lo)
         for p in got:
             assert_canonical(p)
+
+
+def random_laurent(rng: random.Random, size: int, rational: bool) -> PolyQQ:
+    """size terms at q^-2..q^2 * q2^-1..q2^1 with coefficients in -99..99 (some over 1..12)."""
+    exps = rng.sample([(a, b) for a in range(-2, 3) for b in range(-1, 2)], size)
+    return PolyQQ({e: random_coeff(rng, rational) or 1 for e in exps})
+
+
+# At the edge of the slot width: one coefficient carries almost all of |x|_1,
+# so the top coefficient of x^e is at least half of |x|_1^e, the bound the
+# width is taken from, and a width one bit short reads it with the wrong sign.
+POW_EDGES = [
+    (PolyQQ.const(100) + Q, 2),
+    (PolyQQ.const(100) + Q, 7),
+    (PolyQQ.monomial(100, -1) + Q2, 5),
+    (PolyQQ.const(Fraction(100, 3)) + Q * Fraction(1, 3), 4),
+    (Q * Fraction(-1, 7) + PolyQQ.monomial(Fraction(100, 7), 0, -1), 6),
+] + [
+    (PolyQQ.const(2**k) - Q2 * sign, e)
+    for k in (8, 12, 40) for sign in (1, -1) for e in (2, 3, 11, 30)
+]
+
+
+def test_pow_against_sympy():
+    rng = random.Random(1901)
+    cases = list(POW_EDGES)
+    for e in range(31):
+        for rational in (False, True):
+            # Four terms to e = 12 and three past it keep sympy's power small.
+            cases.append((random_laurent(rng, rng.randint(2, 4 if e <= 12 else 3), rational), e))
+            cases.append((random_laurent(rng, 1, rational), e))
+    cases += [(PolyQQ.zero(), 5), (PolyQQ.const(Fraction(-2, 3)), 9)]
+    for x, e in cases:
+        got = x**e
+        assert dict(got.items()) == ring_terms(to_ring(x) ** e), (x, e)
+        assert_canonical(got)
+    # Negative powers of monomials, as positive powers of their inverses.
+    for x in (Q, -Q2, PolyQQ.monomial(Fraction(-2, 3), -1, 2), PolyQQ.monomial(7, 3, -1)):
+        ((a, b), c), = x.items()
+        inverse = PolyQQ.monomial(1 / Fraction(c), -a, -b)
+        for e in (1, 2, 5, 30):
+            got = x**-e
+            assert dict(got.items()) == ring_terms(to_ring(inverse) ** e), (x, e)
+            assert_canonical(got)
+
+
+# The query language's atom values, and Laurent ones over denominators.
+ALPHABET_ATOMS = (Q, ONE - Q, Q2, ONE - Q2, Q * Fraction(1, 2), LAURENT_X, LAURENT_Y)
+
+
+def test_pow_and_p_of_take_no_polynomial_product(monkeypatch):
+    rng = random.Random(1902)
+    cases = [(random_laurent(rng, rng.randint(1, 4), rng.random() < 0.5), rng.randint(2, 12)) for _ in range(20)]
+    expected = [ring_terms(to_ring(x) ** e) for x, e in cases]
+    points = [
+        Alphabet(rng.randint(-3, 3), [(rng.choice((-2, -1, 1, 2)), rng.choice(ALPHABET_ATOMS)) for _ in range(k)])
+        for k in range(5)
+    ]
+    sums = []
+    for point in points:
+        for n in (1, 2, 9, 20):
+            total = to_ring(point.constant)
+            for w, x in point.atoms:
+                total += to_ring(x) ** n * w
+            sums.append(ring_terms(total))
+
+    def refuse(*args):
+        raise AssertionError("PolyQQ product inside __pow__ or p_of")
+
+    monkeypatch.setattr(PolyQQ, "__mul__", refuse)
+    monkeypatch.setattr(PolyQQ, "__rmul__", refuse)
+    for (x, e), want in zip(cases, expected):
+        assert dict((x**e).items()) == want
+    got = [dict(p_of(n, point).items()) for point in points for n in (1, 2, 9, 20)]
+    assert got == sums
