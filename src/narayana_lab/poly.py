@@ -466,7 +466,7 @@ _NAMES: dict[ExpPair, str] = {}
 
 
 def _monomial_name(exps: ExpPair) -> str:
-    """"q^a*q2^b" without the factors of exponent 0 or 1 ("" at (0, 0))."""
+    """The rendered name of q^a * q2^b, such as q^3*q2 or q, and "" at (0, 0)."""
     a, b = exps
     factors = []
     if a:

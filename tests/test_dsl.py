@@ -77,8 +77,7 @@ def test_negative_corpus_positions():
 
 
 def test_lexer_error_corpus_is_pinned():
-    # Non-ASCII letters lex as words, so the parser reports them; the
-    # offsets and expected tokens are the ones the per-character lexer gave.
+    # Non-ASCII letters lex as words, so the parser, not the lexer, reports them.
     corpus = {
         "h2[é]": (3, ("one of q/Q/q2/Q2", "a number")),
         "é2[q]": (0, ("one of h/e/p/s/m", "'P'")),
