@@ -7,10 +7,11 @@ of their generating series, which poly._series_product multiplies out on one
 packed Python int per coefficient (Kronecker substitution); elementary
 functions come from the lambda-ring negation e_n[a] = (-1)^n h_n[-a]; power
 sums from the n-th powers of the atom values, each one packed int power
-(PolyQQ.__pow__); Schur functions from the Jacobi-Trudi determinant, whose
-matrix reads one such row of complete functions, and which det_fraction_free
-takes by Bareiss elimination on one packed int per entry and decodes once (a
-2 x 2 by its two products).
+(PolyQQ.__pow__); Schur functions from the Jacobi-Trudi determinant.  Off a
+constant, poly._schur takes it from one packed row of complete functions to
+the decoded value, on the smaller of the matrices of mu and of its
+conjugate; at a constant, det_fraction_free takes it by Bareiss elimination
+on one packed int per entry (a 2 x 2 by its two products).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from .partitions import Partition, composition_multiplicity
-from .poly import Coeff, PolyQQ, _as_poly, _det, _series_product
+from .poly import Coeff, PolyQQ, _as_poly, _det, _schur, _series_product
 from .rationals import gen_binomial
 from .series import TruncSeries
 
@@ -216,8 +217,12 @@ def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
     """Schur function s_mu at the point a, by Jacobi-Trudi.
 
-    At a point that is not a constant the matrix reads one row
-    h_0..h_(mu_1+l-1) of poly._series_product; at a constant it reads h_of.
+    At a constant the matrix reads h_of.  At any other point the
+    determinant is poly._schur, one packed pipeline from the row
+    h_0..h_(mu_1+l-1) to the decoded value, on the smaller of the two
+    Jacobi-Trudi matrices: s_mu = det e_(mu'_i-i+j) (Macdonald, I.3, (3.5))
+    and e_n[a] = (-1)^n h_n[-a], so s_mu[a] = (-1)^|mu| s_mu'[-a], whose
+    matrix has side mu_1 in place of l.
     """
     if mu.length > SCHUR_LENGTH_CAP:
         raise ValueError(
@@ -225,7 +230,10 @@ def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
         )
     if not mu.length or a.is_constant:
         return jacobi_trudi(lambda k: h_of(k, a), mu)
-    return jacobi_trudi(_series_product(_factors(a), mu[0] + mu.length - 1).__getitem__, mu)
+    if mu[0] >= mu.length:
+        return _schur(_factors(a), mu.parts)
+    value = _schur(_factors(-a), mu.conjugate().parts)
+    return -value if mu.weight % 2 else value
 
 
 def hook_schur_constant(arm: int, leg: int, c: int) -> int:

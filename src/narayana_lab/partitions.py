@@ -32,6 +32,11 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
+    def conjugate(self) -> Partition:
+        """The transposed diagram: part j is the number of parts larger than j."""
+        parts = self.parts
+        return Partition([sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0)])
+
     def multiplicity(self, i: int) -> int:
         return self.parts.count(i)
 

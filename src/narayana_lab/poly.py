@@ -16,11 +16,15 @@ runs in CPython's bigint arithmetic, and read the result's digits once
   packs each dense int row into one int;
 - integer powers x^e (PolyQQ.__pow__, so also the power sums p_n): one int
   power of x packed;
-- determinants from 3 x 3 on: _det packs each entry into one int and runs
-  Bareiss elimination on them;
 - products of series prod (1 - x*u)^-w, the generating series of complete
-  functions: _series_product packs each x into one int and keeps u as the
-  list index.
+  functions: _packed_row packs each x into one int and keeps u as the list
+  index, and _series_product decodes the coefficients;
+- Schur values off a constant point, det[h_(mu_i-i+j)] over such a series:
+  _schur reads the packed row, widens each entry it needs to the
+  determinant's slot width and runs Bareiss elimination (_bareiss) on them,
+  with no PolyQQ in between;
+- any other determinant from 3 x 3 on: _det packs each entry into one int
+  and runs _bareiss on them.
 
 A value is rendered in one pass over its sorted exponents, with the names of
 its monomials read from a bounded table.
@@ -536,6 +540,20 @@ def _split(biased: int, w: int, n: int, half: int, out: list[int]) -> None:
     _split(biased >> w * k, w, n - k, half, out)
 
 
+def _pack(digits: list[int], w: int) -> int:
+    """sum digits[i] * 2^(w*i), the value that _unpack(value, w, len(digits)) splits.
+
+    Joining halves at a slot boundary, as _split cuts them, keeps the cost
+    near that of one product of the value's length; a running sum of
+    shifted digits is quadratic in it.
+    """
+    n = len(digits)
+    if n <= _SPLIT_BASE:
+        return sum(map(lshift, digits, range(0, w * n, w)))
+    k = n // 2
+    return _pack(digits[:k], w) + (_pack(digits[k:], w) << w * k)
+
+
 def _powers(row: _Row, d: int, n: int, w: int) -> tuple[list[int], int]:
     """t^(-n*s) * row^m * d^(n-m) for m = 0..n, packed at t = 2^w, and s = min(start, 0).
 
@@ -609,23 +627,44 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
     return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
 
 
-def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) -> list[PolyQQ]:
+def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int) -> list[PolyQQ]:
     """[u^lo], ..., [u^n] of prod (1 - x*u)^-w over the pairs (w, x), each x nonzero.
 
-    The x are scaled to integer numerators z over one lcm d, and shifted by
-    q^-s * q2^-s2 (s, s2 the lowest exponents, or 0) so that every exponent
-    is >= 0; then [u^m] is d^-m * q^(m*s) * q2^(m*s2) times [u^m] of
-    prod (1 - z*u)^-w.  With A the largest q-exponent of the shifted z,
-    every [u^m], m <= n, has its q-exponents in [0, S), S = n*A + 1, and the
-    ring map q -> t, q2 -> t^S, t -> 2^k packs each z into one int Z.  u
-    stays the list index: factor (w, z) is the ints C(w+i-1, i) * Z^i, and
-    _convolve multiplies them.  Each wanted [u^m] is decoded once by
-    _unpack.  k is one bit more than the largest wanted [u^m] of the
-    product of the majorants |C(w+i-1, i)| * |z|_1^i, with |.|_1 the sum of
-    absolute values, taken exactly in ints; it bounds every coefficient of
-    that [u^m], since (1 - z*u)^-w has |C(w+i-1, i)| * |z^i|_1 at u^i and
+    _packed_row packs them at the stride S = n*A + 1, and each is decoded
+    once by _unpack, divided by d^m and shifted back.
+    """
+    packed, k, stride, d, (s, s2), (top, top2) = _packed_row(factors, n, lo, n)
+    out = []
+    for m, value in enumerate(packed, lo):
+        # [u^m] spans m*A + 1 slots in q and m*B + 1 rows of S in q2.
+        width = m * top + 1
+        digits = _unpack(value, k, stride * m * top2 + width)
+        out.append(_decode(digits, stride, width, m * s, m * s2, d**m))
+    return out
+
+
+def _packed_row(
+    factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int, span: int
+) -> tuple[list[int], int, int, int, ExpPair, ExpPair]:
+    """[u^lo..u^n] of prod (1 - z*u)^-w packed into ints, with the scaling that gives z from x.
+
+    The x of the pairs (w, x), each nonzero, are scaled to integer
+    numerators z over one lcm d, and shifted by q^-s * q2^-s2 (s, s2 the
+    lowest exponents, or 0) so that every exponent is >= 0; then [u^m] of
+    prod (1 - x*u)^-w is d^-m * q^(m*s) * q2^(m*s2) times [u^m] of
+    prod (1 - z*u)^-w.  With A and B the largest q- and q2-exponents of the
+    shifted z, a product of such [u^m] whose m sum to at most span has its
+    q-exponents in [0, S), S = span*A + 1, and the ring map q -> t,
+    q2 -> t^S, t -> 2^k packs each z into one int Z.  u stays the list
+    index: factor (w, z) is the ints C(w+i-1, i) * Z^i, and _convolve
+    multiplies them.  k is one bit more than the largest wanted [u^m] of
+    the product of the majorants |C(w+i-1, i)| * |z|_1^i, with |.|_1 the sum
+    of absolute values, taken exactly in ints; it bounds every coefficient
+    of that [u^m], since (1 - z*u)^-w has |C(w+i-1, i)| * |z^i|_1 at u^i and
     |z^i|_1 <= |z|_1^i.  For w > 0 the majorant is the series of
     (1 - |z|_1*u)^-w, for w < 0 the polynomial (1 + |z|_1*u)^-w.
+
+    Returns the packed [u^lo..u^n], k, S, d, (s, s2) and (A, B).
     """
     scaled = [(w, *_numerators(x._terms)) for w, x in factors]
     d = lcm(*[dz for _, _, dz in scaled])
@@ -636,7 +675,7 @@ def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) 
     a_exps, b_exps = zip(*[e for _, z in nums for e in z])
     s, s2 = min(0, min(a_exps)), min(0, min(b_exps))
     top, top2 = max(a_exps) - s, max(b_exps) - s2
-    stride = n * top + 1
+    stride = span * top + 1
     bound = _convolve(
         [[abs(c) for c in _binomial_powers(w, sum(map(abs, z.values())), n)] for w, z in nums], n, lo
     )
@@ -649,13 +688,42 @@ def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int = 0) 
         n,
         lo,
     )
-    out = []
-    for m, value in enumerate(packed, lo):
-        # [u^m] spans m*A + 1 slots in q and m*B + 1 rows of S in q2.
-        width = m * top + 1
-        digits = _unpack(value, k, stride * m * top2 + width)
-        out.append(_decode(digits, stride, width, m * s, m * s2, d**m))
-    return out
+    return packed, k, stride, d, (s, s2), (top, top2)
+
+
+def _schur(factors: Sequence[tuple[int, PolyQQ]], parts: Sequence[int]) -> PolyQQ:
+    """det[h_(mu_i-i+j)] for the partition mu = parts, h_m the [u^m] of prod (1 - x*u)^-w.
+
+    The Jacobi-Trudi determinant off a constant, from the packed row to the
+    decoded value with no PolyQQ in between.  The m of every Leibniz term's
+    h_m sum to |mu|, so with the x scaled and shifted as in _packed_row each
+    term is d^-|mu| * q^(|mu|*s) * q2^(|mu|*s2) times a product of integer
+    polynomials with q-exponents in [0, S), S = |mu|*A + 1, and q2-exponents
+    in [0, |mu|*B].  _packed_row builds h_0..h_N, N = mu_1 + l - 1 <= |mu|,
+    at that stride and its own slot width k; each h_m of the matrix is read
+    once by _unpack, and its exact |.|_1 summed from the digits.  The
+    determinant's slot width W is one bit more than the bit length of
+    _permanent_bound over those norms, which bounds every coefficient of
+    det(H): the norms of the packed values, where a majorant would ignore
+    cancellation inside each h_m.  Each h_m is widened to W by _pack,
+    _bareiss eliminates, and the result is decoded once, divided by d^|mu|
+    and shifted back.  A zero row or column gives 0.
+    """
+    size, l = sum(parts), len(parts)
+    packed, k, stride, d, (s, s2), (top, top2) = _packed_row(factors, parts[0] + l - 1, 0, size)
+    index = [[p - i + j for j in range(l)] for i, p in enumerate(parts)]
+    needed = {m for row in index for m in row if m >= 0}
+    # The digits of each h_m in the matrix, at the row's width k.
+    h = {m: _unpack(packed[m], k, stride * m * top2 + m * top + 1) for m in needed}
+    norm = {m: sum(map(abs, v)) for m, v in h.items()}
+    norms = [[norm[m] if m >= 0 else 0 for m in row] for row in index]
+    if not all(map(any, norms)) or not all(map(any, zip(*norms))):
+        return _ZERO
+    w = _permanent_bound(norms).bit_length() + 1
+    wide = {m: _pack(v, w) for m, v in h.items()}
+    det = _bareiss([[wide[m] if m >= 0 else 0 for m in row] for row in index])
+    digits = _unpack(det, w, stride * (size * top2 + 1))
+    return _decode(digits, stride, stride, size * s, size * s2, d**size)
 
 
 def _binomial_powers(w: int, x: int, n: int) -> list[int]:
@@ -695,11 +763,8 @@ def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
     ring map q -> t, q2 -> t^S, t -> 2^w packs each entry into one int, and
     a ring map commutes with det.  w is one bit more than a bound on the
     permanent of the |N_ij|_1, which bounds every coefficient of det(N).
-    Each step swaps in the row whose entry in the pivot column is smallest
-    in absolute value (flipping the sign), and divides exactly by the
-    previous pivot, by a product with its 2-adic inverse (_divide_exactly).
-    The last entry is decoded once by _unpack, divided by d^n and shifted
-    back.
+    _bareiss eliminates, and the result is decoded once by _unpack, divided
+    by d^n and shifted back.
     """
     n = len(matrix)
     if n <= 2:
@@ -734,11 +799,24 @@ def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
         ]
         for row, shift in zip(nums, row_shift)
     ]
+    digits = _unpack(_bareiss(m), w, stride * span2)
+    return _decode(digits, stride, stride, sum(r) + sum(c), sum(r2) + sum(c2), d**n)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """det of the n x n int matrix m, n >= 1, by Bareiss elimination in place.
+
+    Each step swaps in the row whose entry in the pivot column is smallest
+    in absolute value (flipping the sign), and divides exactly by the
+    previous pivot, by a product with its 2-adic inverse (_divide_exactly).
+    A column with no nonzero candidate gives 0.
+    """
+    n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
         nonzero = [i for i in range(k, n) if m[i][k]]
         if not nonzero:
-            return _ZERO
+            return 0
         p = min(nonzero, key=lambda i: abs(m[i][k]))
         if p != k:
             m[k], m[p] = m[p], m[k]
@@ -752,8 +830,7 @@ def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
         if prev != 1:
             _divide_exactly(m[k + 1:], k + 1, prev)
         prev = pivot
-    digits = _unpack(sign * m[-1][-1], w, stride * span2)
-    return _decode(digits, stride, stride, sum(r) + sum(c), sum(r2) + sum(c2), d**n)
+    return sign * m[-1][-1]
 
 
 def _decode(digits: list[int], stride: int, width: int, lo: int, lo2: int, d: int) -> PolyQQ:

@@ -214,6 +214,33 @@ def test_failure_entries_carry_both_sides():
     assert case.status == "fail"
 
 
+def test_each_case_is_compared_once(monkeypatch):
+    from dataclasses import fields
+
+    from narayana_lab.identities import IdentityCase
+
+    report = run_suite(ids=["catalan-ratio", "koshy", "thm7"], max_n=6)
+    compared = []
+    eq = PolyQQ.__eq__
+
+    def counted(self, other):
+        compared.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(PolyQQ, "__eq__", counted)
+    document = report.to_document()
+    assert report.ok and report.counts == document["counts"]
+    assert [c.status for c in report.results] == ["pass"] * len(report.results)
+    # Each case compared its sides when it was made; the report only reads that.
+    assert not compared
+    case = report.results[0]
+    again = IdentityCase(case.id, dict(case.params), case.lhs, case.rhs)
+    assert len(compared) == 1 and again.passed and again.status == "pass"
+    # The case keeps its four fields, and equality over them.
+    assert [f.name for f in fields(IdentityCase)] == ["id", "params", "lhs", "rhs"]
+    assert again == case
+
+
 def test_default_seed_recorded():
     report = run_suite(ids=["catalan-ratio"], max_n=3)
     assert report.seed == DEFAULT_SEED

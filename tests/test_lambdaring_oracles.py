@@ -8,7 +8,9 @@ with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
 (1+u)^c * prod (1+x*u)^w; and against the route h_of took before the
 packed product: an integer coefficient table and one subst_q up to two
 atoms, and from three a head/tail convolution.  s_of is checked against
-the Jacobi-Trudi determinant over h_of.
+the Jacobi-Trudi determinant over h_of, on every partition of size up to 8
+at every point of the suite's alphabet pool and at Fraction and Laurent
+atoms, where it takes the conjugate shape whenever that is smaller.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 from fuzzers import random_alphabet
-from narayana_lab import lambdaring
+from narayana_lab import lambdaring, poly
+from narayana_lab.identities import ALPHABET_POOL
 from narayana_lab.lambdaring import (
     Alphabet,
     VALUE_ONE_MINUS_Q,
@@ -30,7 +33,7 @@ from narayana_lab.lambdaring import (
     jacobi_trudi,
     s_of,
 )
-from narayana_lab.partitions import Partition
+from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.series import TruncSeries
@@ -163,6 +166,57 @@ def test_s_off_a_constant_reads_no_h_value(monkeypatch):
     monkeypatch.setattr(lambdaring, "h_of", refuse)
     for (mu, a), want in zip(cases, expected):
         assert s_of(mu, a) == want, (mu, a)
+
+
+def test_s_off_a_constant_is_one_packed_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("PolyQQ product or det_fraction_free on the Schur route")
+
+    decoded = []
+    decode = poly._decode
+
+    def counted(*args):
+        decoded.append(args)
+        return decode(*args)
+
+    # One row, a 2 x 2, a square, and conjugates (first part below the
+    # length) of side 1, 2 and 3; every value is nonzero, since a zero row
+    # or column returns before anything is decoded.
+    cases = [
+        (Partition((4,)), Alphabet(atoms=((1, Q),))),
+        (Partition((5, 2)), Alphabet(-3, ((2, Q2), (1, ONE - Q)))),
+        (Partition((3, 2, 2)), Alphabet(2, ((4, Q), (-3, Q2)))),
+        (Partition((1, 1, 1)), Alphabet(atoms=((3, Q * Fraction(1, 2)),))),
+        (Partition((2, 1, 1, 1)), Alphabet(atoms=((4, VALUE_ONE_MINUS_Q),))),
+        (Partition((3, 3, 2, 1, 1)), Alphabet(-1, ((1, Q), (2, Q2), (-1, ONE - Q2)))),
+    ]
+    expected = [jacobi_trudi(lambda k: h_of(k, a), mu) for mu, a in cases]
+    s_of.cache_clear()
+    monkeypatch.setattr(lambdaring, "det_fraction_free", refuse)
+    monkeypatch.setattr(PolyQQ, "__mul__", refuse)
+    monkeypatch.setattr(PolyQQ, "__rmul__", refuse)
+    monkeypatch.setattr(poly, "_decode", counted)
+    for (mu, a), want in zip(cases, expected):
+        decoded.clear()
+        assert s_of(mu, a) == want, (mu, a)
+        assert len(decoded) == 1, (mu, a)
+
+
+def test_s_matches_jacobi_trudi_on_every_small_shape():
+    shapes = [mu for size in range(9) for mu in enumerate_partitions(size)]
+    # Shapes that s_of conjugates (mu_1 < l), shapes at the border mu_1 = l,
+    # and hooks.
+    assert sum(1 for mu in shapes if mu.length and mu[0] < mu.length) == 28
+    assert sum(1 for mu in shapes if mu.length and mu[0] == mu.length) == 10
+    assert sum(1 for mu in shapes if mu.length > 1 and mu[1] == 1) == 28
+    points = ALPHABET_POOL + (
+        Alphabet(1, ((2, Q * Fraction(1, 2)), (-1, PolyQQ.monomial(1, -1, 1)))),
+        Alphabet(-2, ((1, PolyQQ.monomial(Fraction(-3, 4), 2, -1)), (3, ONE - Q2))),
+    )
+    s_of.cache_clear()
+    for a in points:
+        for mu in shapes:
+            assert s_of(mu, a) == jacobi_trudi(lambda k: h_of(k, a), mu), (mu, a)
 
 
 def test_h_series_is_the_series_of_h_values():

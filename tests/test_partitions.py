@@ -52,6 +52,17 @@ def test_partition_validation():
     assert p.multiplicities() == {3: 1, 1: 2}
 
 
+def test_conjugate():
+    assert Partition((4, 2, 1)).conjugate() == Partition((3, 2, 1, 1))
+    assert Partition((1,) * 5).conjugate() == Partition((5,))
+    assert Partition().conjugate() == Partition()
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            nu = mu.conjugate()
+            assert nu.weight == n and nu.length == (mu[0] if n else 0)
+            assert nu.conjugate() == mu
+
+
 def test_z_of():
     assert z_of(Partition((2, 1, 1))) == 4
     assert z_of(Partition((1,) * 6)) == factorial(6)

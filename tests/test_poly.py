@@ -11,6 +11,7 @@ from narayana_lab.poly import (
     PolyQQ,
     _divide_exactly,
     _inverse_mod_2k,
+    _pack,
     _permanent_bound,
     _sum_powers,
     _unpack,
@@ -292,6 +293,8 @@ def test_unpack_by_halving_matches_the_digit_loop():
             ):
                 packed = sum(c << w * i for i, c in enumerate(digits))
                 assert _unpack(packed, w, n) == unpack_digit_by_digit(packed, w, n) == digits
+                # _pack joins halves where _unpack cuts them.
+                assert _pack(digits, w) == packed
                 # Past the end: a digit of 2^(w-1) at the top carries into
                 # slot n, and so does any value of 2^(w*n) or more, or below
                 # the smallest packable value.

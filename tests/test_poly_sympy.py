@@ -10,9 +10,11 @@ against DomainMatrix.det over QQ[q, q2]; Schur values at the query cap
 against sympy's integer determinants at three points;
 TruncSeries products and inverses against truncated sympy products, and
 TruncSeries.reverse by composing in sympy; the packed series product
-_series_product against the product of truncated series in that ring; the
-packed power PolyQQ.__pow__, and the power sums p_of that read it, against
-powers in that ring.
+_series_product against the product of truncated series in that ring, and
+the packed Schur kernel _schur (and s_of, which reads it) against
+DomainMatrix.det of the Jacobi-Trudi matrix of those series' coefficients;
+the packed power PolyQQ.__pow__, and the power sums p_of that read it,
+against powers in that ring.
 """
 
 import random
@@ -21,8 +23,9 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.dsl import alphabet_of, evaluate, parse
-from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of, p_of
-from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _series_product, _sum_powers
+from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of, p_of, s_of
+from narayana_lab.partitions import Partition, enumerate_partitions
+from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _schur, _series_product, _sum_powers
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
@@ -881,6 +884,65 @@ def test_series_product_against_sympy():
         assert [dict(p.items()) for p in got] == ring_series_product(factors, n)[lo:], (factors, n, lo)
         for p in got:
             assert_canonical(p)
+
+
+def ring_schur(factors, parts) -> dict:
+    """Laurent terms of det[h_(mu_i-i+j)], h_m the [u^m] of ring_series_product, by ring_det."""
+    l = len(parts)
+    h = [PolyQQ(terms) for terms in ring_series_product(factors, parts[0] + l - 1)]
+    return ring_det([
+        [h[p - i + j] if p - i + j >= 0 else PolyQQ.zero() for j in range(l)]
+        for i, p in enumerate(parts)
+    ])
+
+
+def mono(c, a: int = 0, b: int = 0) -> PolyQQ:
+    return PolyQQ.monomial(c, a, b)
+
+
+# At the edge of both slot widths of _schur: each x is one monomial times a
+# number, so every h_m is one term, and the top coefficient of an h_m in
+# the matrix has the bit length of the row's bound (its width k less the
+# sign bit) and the determinant's that of the permanent bound (the width W
+# less the sign bit).  Found by a search over such points; the last two
+# reach W alone.  Over integers, denominators, q2 and Laurent exponents,
+# and with the partition's first part at least, and below, its length.
+SCHUR_EDGES = [
+    ([(-1, mono(-3, -1, 2)), (-2, mono(Fraction(-2, 3), -1, 2))], (3, 3, 1)),
+    ([(-3, mono(-7, 0, 1))], (3, 1)),
+    ([(-3, mono(Fraction(-5, 6)))], (3, 1)),
+    ([(-2, mono(-7, 0, 1)), (-1, mono(Fraction(5, 6), 0, 1))], (3, 2)),
+    ([(-1, mono(7, 1))], (1, 1, 1, 1)),
+    ([(-2, mono(-7))], (2, 2, 1)),
+    ([(-2, mono(Fraction(-5, 6), 1))], (2, 2)),
+    ([(-1, mono(-1)), (-3, mono(Fraction(-5, 6))), (-1, mono(7))], (5, 1)),
+    ([(3, mono(2, 1)), (1, mono(5, 1)), (2, mono(7, 1))], (9,)),
+    ([(2, mono(Fraction(-2, 3), -1, 2)), (1, mono(5, -1, 2))], (6,)),
+    ([(-3, mono(3, 0, 1)), (-3, mono(-3, 0, 1))], (3, 3)),
+    ([(2, mono(7)), (1, mono(-5)), (-3, mono(3))], (2, 1)),
+]
+
+
+def test_schur_kernel_against_sympy():
+    rng = random.Random(89)
+    pool = (
+        ONE, PolyQQ.const(3), PolyQQ.const(Fraction(-5, 3)), Q, ONE - Q, Q2, ONE - Q2,
+        Q * 2, Q**2, Q * Fraction(1, 2), PolyQQ.monomial(1, -1, 1), LAURENT_X, LAURENT_Y,
+    )
+    shapes = [mu.parts for size in range(1, 8) for mu in enumerate_partitions(size)]
+    cases = []
+    for _ in range(60):
+        factors = [(rng.choice((-3, -2, -1, 1, 2, 3)), x) for x in rng.sample(pool, rng.randint(1, 3))]
+        cases.append((factors, rng.choice(shapes)))
+    s_of.cache_clear()
+    for factors, parts in cases + SCHUR_EDGES:
+        want = ring_schur(factors, parts)
+        got = _schur(factors, parts)
+        assert dict(got.items()) == want, (factors, parts)
+        assert_canonical(got)
+        # s_of takes the conjugate shape at the negated point when it is smaller.
+        value = s_of(Partition(parts), Alphabet(atoms=tuple(factors)))
+        assert dict(value.items()) == want, (factors, parts)
 
 
 def random_laurent(rng: random.Random, size: int, rational: bool) -> PolyQQ:
