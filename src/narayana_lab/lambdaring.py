@@ -7,21 +7,22 @@ of their generating series, which poly._series_product multiplies out on one
 packed Python int per coefficient (Kronecker substitution); elementary
 functions come from the lambda-ring negation e_n[a] = (-1)^n h_n[-a]; power
 sums from the n-th powers of the atom values, each one packed int power
-(PolyQQ.__pow__); Schur functions from the Jacobi-Trudi determinant.  Off a
-constant, poly._schur takes it from one packed row of complete functions to
-the decoded value, on the smaller of the matrices of mu and of its
-conjugate; at a constant, det_fraction_free takes it by Bareiss elimination
-on one packed int per entry (a 2 x 2 by its two products).
+(PolyQQ.__pow__); Schur functions by one route per kind of point.  At a
+constant c, s_mu[c] is the hook-content product prod (c + j - i) / h(i, j)
+over the cells of mu, in ints; off a constant, poly._schur takes the
+Jacobi-Trudi determinant from one packed row of complete functions to the
+decoded value, on the smaller of the matrices of mu and of its conjugate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import prod
 from typing import Callable, Sequence
 
 from .partitions import Partition, composition_multiplicity
-from .poly import Coeff, PolyQQ, _as_poly, _det, _schur, _series_product
+from .poly import Coeff, PolyQQ, _as_poly, _schur, _series_product
 from .rationals import gen_binomial
 from .series import TruncSeries
 
@@ -185,40 +186,17 @@ def m_of_constant(mu: Partition, c: int) -> int:
     return gen_binomial(c, mu.length) * composition_multiplicity(mu)
 
 
-def jacobi_trudi(h_at: Callable[[int], PolyQQ], mu: Partition) -> PolyQQ:
-    """Schur value as the fraction-free determinant of the h-matrix of mu."""
-    l = mu.length
-    if l == 0:
-        return PolyQQ.one()
-    zero = PolyQQ.zero()
-    matrix = [
-        [h_at(mu[i] - i + j) if mu[i] - i + j >= 0 else zero for j in range(l)]
-        for i in range(l)
-    ]
-    return det_fraction_free(matrix)
-
-
-def det_fraction_free(matrix: list[list[PolyQQ]]) -> PolyQQ:
-    """Determinant by Bareiss elimination on one packed Python int per entry.
-
-    From 3 x 3 on, the entries are scaled to integer numerators over one
-    denominator, shifted row by row and column by column so that every
-    exponent is >= 0, and packed by the ring map q -> t, q2 -> t^S,
-    t -> 2^w, which commutes with det; poly._det runs Bareiss on the ints
-    (smallest pivot first, exact divisions by a 2-adic inverse) and decodes
-    the last entry once.  A 2 x 2 is a*d - b*c.
-    """
-    return _det(matrix)
-
-
 # Bounded above the largest per-process working set of the benchmark
 # workloads (250 values for one query-distinct batch).
 @lru_cache(maxsize=1024)
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
-    """Schur function s_mu at the point a, by Jacobi-Trudi.
+    """Schur function s_mu at the point a; 1 at the empty partition.
 
-    At a constant the matrix reads h_of.  At any other point the
-    determinant is poly._schur, one packed pipeline from the row
+    At a constant c it is the hook-content formula (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.3, Example 4): the product over the
+    cells (i, j) of mu of (c + j - i) / h(i, j), h the hook length, taken
+    as one exact int quotient.  At any other point it is the Jacobi-Trudi
+    determinant, poly._schur, one packed pipeline from the row
     h_0..h_(mu_1+l-1) to the decoded value, on the smaller of the two
     Jacobi-Trudi matrices: s_mu = det e_(mu'_i-i+j) (Macdonald, I.3, (3.5))
     and e_n[a] = (-1)^n h_n[-a], so s_mu[a] = (-1)^|mu| s_mu'[-a], whose
@@ -228,8 +206,13 @@ def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
         raise ValueError(
             f"partition length {mu.length} exceeds cap {SCHUR_LENGTH_CAP}"
         )
-    if not mu.length or a.is_constant:
-        return jacobi_trudi(lambda k: h_of(k, a), mu)
+    if not mu.length:
+        return _ONE
+    if a.is_constant:
+        c, cols = a.constant, mu.conjugate().parts
+        cells = [(i, j) for i, p in enumerate(mu.parts) for j in range(p)]
+        contents = prod(c + j - i for i, j in cells)
+        return PolyQQ.const(contents // prod(mu[i] - j + cols[j] - i - 1 for i, j in cells))
     if mu[0] >= mu.length:
         return _schur(_factors(a), mu.parts)
     value = _schur(_factors(-a), mu.conjugate().parts)
@@ -276,8 +259,7 @@ def strinc_oracle(n: int) -> PolyQQ:
 class HSequence:
     """Formal alphabet given by the values of its complete functions.
 
-    Power sums follow from the Newton recurrence n*h_n = sum h_r p_{n-r};
-    Schur values from Jacobi-Trudi.
+    Power sums follow from the Newton recurrence n*h_n = sum h_r p_{n-r}.
     """
 
     def __init__(self, h_fn: Callable[[int], PolyQQ | Coeff], cap: float = float("inf")):
@@ -305,9 +287,6 @@ class HSequence:
                 acc = acc - self.h(r) * self._p_cache[m - r]
             self._p_cache[m] = acc
         return self._p_cache[n]
-
-    def schur(self, mu: Partition) -> PolyQQ:
-        return jacobi_trudi(self.h, mu)
 
 
 def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:

@@ -19,12 +19,11 @@ runs in CPython's bigint arithmetic, and read the result's digits once
 - products of series prod (1 - x*u)^-w, the generating series of complete
   functions: _packed_row packs each x into one int and keeps u as the list
   index, and _series_product decodes the coefficients;
-- Schur values off a constant point, det[h_(mu_i-i+j)] over such a series:
-  _schur reads the packed row, widens each entry it needs to the
-  determinant's slot width and runs Bareiss elimination (_bareiss) on them,
-  with no PolyQQ in between;
-- any other determinant from 3 x 3 on: _det packs each entry into one int
-  and runs _bareiss on them.
+- Jacobi-Trudi determinants det[h_(mu_i-i+j)]: _jacobi_trudi packs each
+  entry's int row at the determinant's slot width and runs Bareiss
+  elimination (_bareiss) on them.  _schur feeds it the h_m of such a series,
+  read off the packed row, for a Schur value off a constant point, with no
+  PolyQQ in between; the Narayana alphabet feeds it its int rows.
 
 A value is rendered in one pass over its sorted exponents, with the names of
 its monomials read from a bounded table.
@@ -33,9 +32,9 @@ its monomials read from a bounded table.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm, log2
-from operator import add, itemgetter, lshift, mul, sub
-from typing import Iterator, Mapping, Sequence
+from math import lcm, log2
+from operator import add, lshift, mul
+from typing import Callable, Iterator, Mapping, Sequence
 
 Coeff = int | Fraction
 ExpPair = tuple[int, int]
@@ -701,29 +700,38 @@ def _schur(factors: Sequence[tuple[int, PolyQQ]], parts: Sequence[int]) -> PolyQ
     polynomials with q-exponents in [0, S), S = |mu|*A + 1, and q2-exponents
     in [0, |mu|*B].  _packed_row builds h_0..h_N, N = mu_1 + l - 1 <= |mu|,
     at that stride and its own slot width k; each h_m of the matrix is read
-    once by _unpack, and its exact |.|_1 summed from the digits.  The
-    determinant's slot width W is one bit more than the bit length of
-    _permanent_bound over those norms, which bounds every coefficient of
-    det(H): the norms of the packed values, where a majorant would ignore
-    cancellation inside each h_m.  Each h_m is widened to W by _pack,
-    _bareiss eliminates, and the result is decoded once, divided by d^|mu|
-    and shifted back.  A zero row or column gives 0.
+    once by _unpack, _jacobi_trudi takes the determinant's digits, and the
+    result is decoded once, divided by d^|mu| and shifted back.
     """
-    size, l = sum(parts), len(parts)
-    packed, k, stride, d, (s, s2), (top, top2) = _packed_row(factors, parts[0] + l - 1, 0, size)
-    index = [[p - i + j for j in range(l)] for i, p in enumerate(parts)]
-    needed = {m for row in index for m in row if m >= 0}
-    # The digits of each h_m in the matrix, at the row's width k.
-    h = {m: _unpack(packed[m], k, stride * m * top2 + m * top + 1) for m in needed}
-    norm = {m: sum(map(abs, v)) for m, v in h.items()}
+    size = sum(parts)
+    packed, k, stride, d, (s, s2), (top, top2) = _packed_row(factors, parts[0] + len(parts) - 1, 0, size)
+    digits = _jacobi_trudi(
+        lambda m: _unpack(packed[m], k, stride * m * top2 + m * top + 1), parts, stride * (size * top2 + 1)
+    )
+    return _decode(digits, stride, stride, size * s, size * s2, d**size)
+
+
+def _jacobi_trudi(h: Callable[[int], Sequence[int]], parts: Sequence[int], n: int) -> list[int]:
+    """The n digits of det[h_(mu_i-i+j)] for the partition mu = parts, or [] when it is 0.
+
+    h(m) is the ints of h_m at t^0, t^1, ..., read once for each distinct
+    m >= 0 of the matrix; n must hold every t-exponent of the determinant.
+    The slot width W is one bit more than the bit length of
+    _permanent_bound over the exact |h_m|_1, which bounds every coefficient
+    of the determinant: the norms of the values themselves, where a
+    majorant would ignore cancellation inside each h_m.  Each h_m is packed
+    at t = 2^W by _pack, _bareiss eliminates, and one _unpack reads the
+    digits.  A zero row or column gives [].
+    """
+    index = [[p - i + j for j in range(len(parts))] for i, p in enumerate(parts)]
+    entries = {m: h(m) for m in {m for row in index for m in row if m >= 0}}
+    norm = {m: sum(map(abs, v)) for m, v in entries.items()}
     norms = [[norm[m] if m >= 0 else 0 for m in row] for row in index]
     if not all(map(any, norms)) or not all(map(any, zip(*norms))):
-        return _ZERO
+        return []
     w = _permanent_bound(norms).bit_length() + 1
-    wide = {m: _pack(v, w) for m, v in h.items()}
-    det = _bareiss([[wide[m] if m >= 0 else 0 for m in row] for row in index])
-    digits = _unpack(det, w, stride * (size * top2 + 1))
-    return _decode(digits, stride, stride, size * s, size * s2, d**size)
+    wide = {m: _pack(v, w) for m, v in entries.items()}
+    return _unpack(_bareiss([[wide[m] if m >= 0 else 0 for m in row] for row in index]), w, n)
 
 
 def _binomial_powers(w: int, x: int, n: int) -> list[int]:
@@ -748,59 +756,6 @@ def _convolve(rows: list[list[int]], n: int, lo: int) -> list[int]:
         first = lo if j == len(rows) - 1 else 0
         acc[first:] = [sum(map(mul, rows[j], acc[m::-1])) for m in range(first, n + 1)]
     return acc[lo:]
-
-
-def _det(matrix: list[list[PolyQQ]]) -> PolyQQ:
-    """det(matrix) by Bareiss elimination on one packed int per entry, from 3 x 3 on.
-
-    The entries are scaled once to integer numerators N over the lcm d of
-    their denominators.  Row i and column j are shifted by q^(r_i + c_j),
-    and likewise in q2, so that every exponent is >= 0: r_i is the row's
-    lowest exponent and c_j = min_i(lo_ij - r_i).  With R_i the row's top
-    exponent and C_j = max_i(hi_ij - R_i), every Leibniz term has its
-    exponent in [0, S), S = sum R + sum C - sum r - sum c + 1 (|mu| + 1 for
-    a Jacobi-Trudi matrix); S <= 0 means every term has a zero factor.  The
-    ring map q -> t, q2 -> t^S, t -> 2^w packs each entry into one int, and
-    a ring map commutes with det.  w is one bit more than a bound on the
-    permanent of the |N_ij|_1, which bounds every coefficient of det(N).
-    _bareiss eliminates, and the result is decoded once by _unpack, divided
-    by d^n and shifted back.
-    """
-    n = len(matrix)
-    if n <= 2:
-        # The Leibniz formula: packing costs a 2 x 2 more than its two
-        # products, and nothing packed is needed below that.
-        if n < 2:
-            return matrix[0][0] if n else _ONE
-        (a, b), (c, d) = matrix
-        return a * d - b * c
-    nums = [[entry._terms for entry in row] for row in matrix]
-    d = lcm(*[c.denominator for row in nums for t in row for c in t.values() if type(c) is not int])
-    if d != 1:
-        nums = [
-            [{e: c.numerator * (d // c.denominator) for e, c in t.items()} for t in row]
-            for row in nums
-        ]
-    if not all(map(any, nums)) or not all(map(any, zip(*nums))):
-        return _ZERO
-    # The lowest and highest exponent of q, then of q2, of each entry.
-    ranges = [[_ranges(t) for t in row] for row in nums]
-    r, c, stride = _shifts(ranges, 0)
-    r2, c2, span2 = _shifts(ranges, 2)
-    if stride < 1 or span2 < 1:
-        return _ZERO
-    w = _permanent_bound([[sum(map(abs, t.values())) for t in row] for row in nums]).bit_length() + 1
-    row_shift = [a + stride * b for a, b in zip(r, r2)]
-    col_shift = [a + stride * b for a, b in zip(c, c2)]
-    m = [
-        [
-            sum(v << w * (a + stride * b - shift - cs) for (a, b), v in t.items())
-            for t, cs in zip(row, col_shift)
-        ]
-        for row, shift in zip(nums, row_shift)
-    ]
-    digits = _unpack(_bareiss(m), w, stride * span2)
-    return _decode(digits, stride, stride, sum(r) + sum(c), sum(r2) + sum(c2), d**n)
 
 
 def _bareiss(m: list[list[int]]) -> int:
@@ -844,33 +799,6 @@ def _decode(digits: list[int], stride: int, width: int, lo: int, lo2: int, d: in
             if v:
                 terms[(a, b)] = v if d == 1 else _quotient(v, d)
     return _wrap(terms)
-
-
-# The range of a zero entry: min and max pass over it.
-_NO_RANGE = (inf, -inf, inf, -inf)
-
-
-def _ranges(terms: dict[ExpPair, int]) -> tuple[int, int, int, int]:
-    if not terms:
-        return _NO_RANGE
-    a, b = zip(*terms)
-    return min(a), max(a), min(b), max(b)
-
-
-def _shifts(ranges: list[list], axis: int) -> tuple[list[int], list[int], int]:
-    """Row shifts r_i, column shifts c_j and the span S of one variable's exponent.
-
-    ranges holds each entry's lowest and highest exponent at axis and
-    axis + 1, and no row or column is all zero.  Every exponent of entry
-    (i, j), less r_i + c_j, is >= 0, and every Leibniz term has its
-    exponent, so shifted, in [0, S).
-    """
-    lo = [list(map(itemgetter(axis), row)) for row in ranges]
-    hi = [list(map(itemgetter(axis + 1), row)) for row in ranges]
-    r, top = list(map(min, lo)), list(map(max, hi))
-    c = [min(map(sub, col, r)) for col in zip(*lo)]
-    big_c = [max(map(sub, col, top)) for col in zip(*hi)]
-    return r, c, sum(top) + sum(big_c) - sum(r) - sum(c) + 1
 
 
 def _permanent_bound(a: list[list[int]]) -> int:

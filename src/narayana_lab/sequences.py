@@ -18,7 +18,7 @@ from math import comb
 
 from .lambdaring import POWER_SUM_CAP, HSequence
 from .partitions import Partition
-from .poly import PolyQQ
+from .poly import PolyQQ, _jacobi_trudi
 from .rationals import gen_binomial
 
 CLOSED_FORM_VARIANTS = ("eqde", "eqtr", "eqqu", "eqci", "eqsi")
@@ -191,10 +191,13 @@ def narayana_power_sum(r: int) -> PolyQQ:
 
 
 def narayana_schur(mu: Partition) -> PolyQQ:
-    """Schur function of the Narayana alphabet (Jacobi-Trudi determinant).
+    """Schur function of the Narayana alphabet, det[C_(mu_i-i+j)(q)]; 1 at the empty partition.
 
-    Capped by determinant size and largest h-index so the exact elimination
-    stays at desk scale.
+    poly._jacobi_trudi takes the determinant on the int rows of narayana_row.
+    C_m(q) has q-degree m - 1 for m >= 1 (0 at m = 0), and the m of every
+    Leibniz term sum to |mu| with at least one m >= 1, so the determinant has
+    q-degree at most |mu| - 1 and |mu| slots hold it.  Capped by determinant
+    size and largest h-index so the exact elimination stays at desk scale.
     """
     if mu.length > NARAYANA_SCHUR_LENGTH_CAP:
         raise ValueError(
@@ -204,7 +207,9 @@ def narayana_schur(mu: Partition) -> PolyQQ:
         raise ValueError(
             f"narayana_schur capped at h-index {NARAYANA_SCHUR_INDEX_CAP}"
         )
-    return narayana_hsequence().schur(mu)
+    if not mu.length:
+        return _ONE
+    return PolyQQ.from_q_coefficients(_jacobi_trudi(narayana_row, mu.parts, mu.weight))
 
 
 @lru_cache(maxsize=256)

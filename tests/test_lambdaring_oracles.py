@@ -8,9 +8,12 @@ with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
 (1+u)^c * prod (1+x*u)^w; and against the route h_of took before the
 packed product: an integer coefficient table and one subst_q up to two
 atoms, and from three a head/tail convolution.  s_of is checked against
-the Jacobi-Trudi determinant over h_of, on every partition of size up to 8
-at every point of the suite's alphabet pool and at Fraction and Laurent
-atoms, where it takes the conjugate shape whenever that is smaller.
+the Jacobi-Trudi determinant of the h_of values, taken by sympy's
+DomainMatrix.det: on every partition of size up to 8 at every point of the
+suite's alphabet pool and at Fraction and Laurent atoms, where it takes the
+conjugate shape whenever that is smaller; and at constants, where it is the
+hook-content product, on every partition of size up to 10 and at the query
+cap.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ from narayana_lab import lambdaring, poly
 from narayana_lab.identities import ALPHABET_POOL
 from narayana_lab.lambdaring import (
     Alphabet,
+    SCHUR_LENGTH_CAP,
     VALUE_ONE_MINUS_Q,
     VALUE_Q,
     e_of,
     h_of,
     h_series,
-    jacobi_trudi,
     s_of,
 )
 from narayana_lab.partitions import Partition, enumerate_partitions
@@ -71,6 +74,44 @@ def series_route_e(n: int, a: Alphabet) -> PolyQQ:
         [c if k % 2 == 0 else -c for k, c in enumerate(hs.coefficients())], order=n
     )
     return flipped.inverse().coefficient(n)
+
+
+def jacobi_trudi(h_at, mu: Partition) -> PolyQQ:
+    """det[h_at(mu_i-i+j)] by DomainMatrix.det over sympy's ring QQ[q, q2]; 1 at mu = ().
+
+    Every entry is multiplied by one q^-lo * q2^-lo2, the lowest exponents of
+    the whole matrix, so that it is a polynomial; the determinant then
+    carries that factor l times.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring, dq, dq2 = sympy.polys.rings.ring("q,q2", sympy.QQ)
+    l = mu.length
+    if not l:
+        return ONE
+    matrix = [
+        [h_at(mu[i] - i + j) if mu[i] - i + j >= 0 else PolyQQ.zero() for j in range(l)]
+        for i in range(l)
+    ]
+    exps = [e for row in matrix for entry in row for e, _ in entry.items()] or [(0, 0)]
+    lo, lo2 = min(a for a, _ in exps), min(b for _, b in exps)
+    rows = [
+        [
+            sum(
+                (dq ** (a - lo) * dq2 ** (b - lo2) * sympy.QQ(c.numerator, c.denominator)
+                 for (a, b), c in entry.items()),
+                ring.zero,
+            )
+            for entry in row
+        ]
+        for row in matrix
+    ]
+    det = DomainMatrix(rows, (l, l), ring.to_domain()).det()
+    return PolyQQ({
+        (a + l * lo, b + l * lo2): Fraction(int(c.numerator), int(c.denominator))
+        for (a, b), c in det.terms()
+    })
 
 
 def test_h_and_e_match_the_series_route():
@@ -170,7 +211,7 @@ def test_s_off_a_constant_reads_no_h_value(monkeypatch):
 
 def test_s_off_a_constant_is_one_packed_kernel(monkeypatch):
     def refuse(*args):
-        raise AssertionError("PolyQQ product or det_fraction_free on the Schur route")
+        raise AssertionError("PolyQQ product on the Schur route")
 
     decoded = []
     decode = poly._decode
@@ -192,7 +233,6 @@ def test_s_off_a_constant_is_one_packed_kernel(monkeypatch):
     ]
     expected = [jacobi_trudi(lambda k: h_of(k, a), mu) for mu, a in cases]
     s_of.cache_clear()
-    monkeypatch.setattr(lambdaring, "det_fraction_free", refuse)
     monkeypatch.setattr(PolyQQ, "__mul__", refuse)
     monkeypatch.setattr(PolyQQ, "__rmul__", refuse)
     monkeypatch.setattr(poly, "_decode", counted)
@@ -217,6 +257,70 @@ def test_s_matches_jacobi_trudi_on_every_small_shape():
     for a in points:
         for mu in shapes:
             assert s_of(mu, a) == jacobi_trudi(lambda k: h_of(k, a), mu), (mu, a)
+
+
+# README's cap-level shapes: the 12-part ones that s_of conjugates or cannot,
+# and the 1- to 10-part ones of its tables.
+CAP_SHAPES = [
+    (7, 7, 7) + (1,) * 9, (6, 6, 6, 4) + (1,) * 8, (13, 5, 3) + (1,) * 9, (12, 6, 3) + (1,) * 9,
+    (12, 5, 3, 2) + (1,) * 8, (19,) + (1,) * 11, (5,) * 6, (3,) * 10, (4,) * 6 + (3, 3),
+    (8, 8, 8), (29, 1), (30,), (15, 15),
+]
+
+
+def integer_jacobi_trudi(mu: Partition, c: int) -> int:
+    """det[C(c + m - 1, m)], m = mu_i - i + j, by DomainMatrix.det over ZZ; 1 at mu = ()."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    l = mu.length
+    if not l:
+        return 1
+    rows = [
+        [sympy.ZZ(gen_binomial(c + m - 1, m) if m >= 0 else 0) for m in (mu[i] - i + j for j in range(l))]
+        for i in range(l)
+    ]
+    return int(DomainMatrix(rows, (l, l), sympy.ZZ).det())
+
+
+def test_s_at_a_constant_matches_jacobi_trudi():
+    shapes = [mu for size in range(11) for mu in enumerate_partitions(size)]
+    assert len(shapes) == 139
+    s_of.cache_clear()
+    for c in (-30, -2, 0, 1, 7, 30):
+        for mu in shapes:
+            assert s_of(mu, Alphabet.of_constant(c)) == integer_jacobi_trudi(mu, c), (mu, c)
+    # Most cap values are past 2^53, where a quotient taken in floats rounds.
+    wide = 0
+    for parts in CAP_SHAPES:
+        mu = Partition(parts)
+        for c in (-30, 30):
+            want = integer_jacobi_trudi(mu, c)
+            assert s_of(mu, Alphabet.of_constant(c)) == want, (mu, c)
+            wide += abs(want) > 2**53
+    assert wide == 23
+
+
+def test_s_at_the_empty_partition_and_past_the_length_cap():
+    points = (Alphabet.of_constant(0), Alphabet.of_constant(-7), Alphabet(atoms=((1, Q),)), Alphabet(2, ((-1, Q2),)))
+    for a in points:
+        assert s_of(Partition(()), a) == ONE, a
+        for parts in ((1,) * (SCHUR_LENGTH_CAP + 1), (2,) * (SCHUR_LENGTH_CAP + 1)):
+            with pytest.raises(ValueError, match="exceeds cap"):
+                s_of(Partition(parts), a)
+
+
+def test_s_at_a_constant_takes_no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("h_of or an elimination on the Schur route at a constant")
+
+    cases = [(Partition(parts), c) for parts in CAP_SHAPES[:4] + [(3, 2, 2), (1,), (4, 1)] for c in (-30, -2, 0, 7)]
+    expected = [integer_jacobi_trudi(mu, c) for mu, c in cases]
+    s_of.cache_clear()
+    monkeypatch.setattr(lambdaring, "h_of", refuse)
+    monkeypatch.setattr(poly, "_bareiss", refuse)
+    for (mu, c), want in zip(cases, expected):
+        assert s_of(mu, Alphabet.of_constant(c)) == want, (mu, c)
 
 
 def test_h_series_is_the_series_of_h_values():

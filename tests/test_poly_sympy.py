@@ -4,10 +4,10 @@ subst_q (with and without q2) against substitution, and its dense-row kernel
 on rows of degree up to 30 against PolyElement.compose in sympy's sparse
 ring; the convolution kernel _sum_powers against sums of powers in that ring;
 *, +, -, eval and divexact against sympy's expand, subs and cancel;
-jacobi11 against sympy.jacobi; det_fraction_free against Matrix.det and,
-on Laurent matrices over denominators and at the edges of its packing,
-against DomainMatrix.det over QQ[q, q2]; Schur values at the query cap
-against sympy's integer determinants at three points;
+jacobi11 against sympy.jacobi; the Jacobi-Trudi kernel _jacobi_trudi on
+int rows against DomainMatrix.det over ZZ[t], at the edges of its packing;
+Schur values at the query cap against sympy's integer determinants at three
+points;
 TruncSeries products and inverses against truncated sympy products, and
 TruncSeries.reverse by composing in sympy; the packed series product
 _series_product against the product of truncated series in that ring, and
@@ -23,9 +23,18 @@ from fractions import Fraction
 import pytest
 
 from narayana_lab.dsl import alphabet_of, evaluate, parse
-from narayana_lab.lambdaring import Alphabet, det_fraction_free, h_of, p_of, s_of
+from narayana_lab.lambdaring import Alphabet, h_of, p_of, s_of
 from narayana_lab.partitions import Partition, enumerate_partitions
-from narayana_lab.poly import Coeff, ExactDivisionError, PolyQQ, _schur, _series_product, _sum_powers
+from narayana_lab.poly import (
+    Coeff,
+    ExactDivisionError,
+    PolyQQ,
+    _jacobi_trudi,
+    _permanent_bound,
+    _schur,
+    _series_product,
+    _sum_powers,
+)
 from narayana_lab.sequences import jacobi11
 from narayana_lab.series import TruncSeries
 
@@ -516,22 +525,6 @@ def test_jacobi11_against_sympy():
         assert_same(jacobi11(n), sympy.expand(sympy.jacobi(n, 1, 1, q)))
 
 
-def random_matrix(rng: random.Random, size: int) -> list[list[PolyQQ]]:
-    def entry():
-        if rng.random() < 0.3:
-            return PolyQQ.zero()
-        return PolyQQ({
-            (rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-3, 3)
-            for _ in range(rng.randint(1, 2))
-        })
-    return [[entry() for _ in range(size)] for _ in range(size)]
-
-
-def assert_det_matches_sympy(matrix: list[list[PolyQQ]]) -> None:
-    want = sympy.Matrix([[to_sympy(e) for e in row] for row in matrix]).det(method="berkowitz")
-    assert_same(det_fraction_free(matrix), sympy.expand(want))
-
-
 DET_RING, DQ, DQ2 = ring("q,q2", sympy.QQ)
 
 
@@ -563,159 +556,136 @@ def ring_det(matrix: list[list[PolyQQ]]) -> dict:
     }
 
 
-def assert_det_matches_ring(matrix: list[list[PolyQQ]]) -> None:
-    got = det_fraction_free(matrix)
-    assert dict(got.items()) == ring_det(matrix), matrix
-    assert_canonical(got)
+TAIL_RING, TT = ring("t", sympy.ZZ)
 
 
-def random_laurent_matrix(
-    rng: random.Random, size: int, rational: bool, scale: int = 1
-) -> list[list[PolyQQ]]:
-    """Entries with up to three terms at q^-2..q^2 * q2^-2..q2^2, about a quarter zero."""
-    def entry():
-        if rng.random() < 0.25:
-            return PolyQQ.zero()
-        return PolyQQ({
-            (rng.randint(-2, 2), rng.randint(-2, 2)): random_coeff(rng, rational) * scale
-            for _ in range(rng.randint(1, 3))
-        })
-    return [[entry() for _ in range(size)] for _ in range(size)]
+def ring_tail(rows: dict, parts) -> list[int]:
+    """The ints at t^0, t^1, ... of det[h_(mu_i-i+j)], h_m = sum rows[m][e] * t^e, by DomainMatrix.det over ZZ[t].
 
-
-def monomial_permutation_matrix(rng: random.Random, size: int, sign: int) -> list[list[PolyQQ]]:
-    """One Laurent monomial per row and column, with det = sign * B * q^a * q2^b.
-
-    B is the permanent bound prod_i sum_j |N_ij|_1 over the integer numerators
-    N, which such a matrix attains; every other matrix stays below it.
+    [] for a zero determinant.
     """
-    perm = list(range(size))
-    rng.shuffle(perm)
-    coeffs = [Fraction(rng.randint(2, 99), rng.choice((1, 1, 3, 4))) for _ in range(size)]
-    # The permutation's sign times the coefficients' signs gives the sign asked for.
-    parity = sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i]) % 2
-    if (-1) ** parity != sign:
-        coeffs[0] = -coeffs[0]
-    return [
+    l = len(parts)
+    matrix = [
         [
-            PolyQQ.monomial(coeffs[i], rng.randint(-3, 3), rng.randint(-3, 3))
-            if j == perm[i] else PolyQQ.zero()
-            for j in range(size)
+            sum((TT**e * c for e, c in enumerate(rows[p - i + j])), TAIL_RING.zero) if p - i + j >= 0 else TAIL_RING.zero
+            for j in range(l)
         ]
-        for i in range(size)
+        for i, p in enumerate(parts)
     ]
+    det = DomainMatrix(matrix, (l, l), TAIL_RING.to_domain()).det()
+    if not det:
+        return []
+    out = [0] * (det.degree() + 1)
+    for (e,), c in det.terms():
+        out[e] = int(c)
+    return out
 
 
-def test_det_fraction_free_against_sympy():
+def tail_slots(rows: dict, parts) -> int:
+    """1 + the sum over the matrix's rows of their entries' largest t-degree, a bound on det's t-degree."""
+    return 1 + sum(
+        max((len(rows[p - i + j]) - 1 for j in range(len(parts)) if p - i + j >= 0), default=0)
+        for i, p in enumerate(parts)
+    )
+
+
+def assert_tail_matches_ring(rows: dict, parts) -> list[int]:
+    """_jacobi_trudi against ring_tail at tail_slots slots, each h_m read once; returns its digits."""
+    reads = []
+
+    def h(m):
+        reads.append(m)
+        return rows[m]
+
+    n = tail_slots(rows, parts)
+    got = _jacobi_trudi(h, parts, n)
+    assert sorted(reads) == sorted({p - i + j for i, p in enumerate(parts) for j in range(len(parts)) if p - i + j >= 0})
+    assert len(got) in (0, n), (rows, parts)
+    want = ring_tail(rows, parts)
+    assert got[:len(want)] == want and not any(got[len(want):]), (rows, parts)
+    return got
+
+
+def random_rows(rng: random.Random, parts, digits: int) -> dict:
+    """Int rows of one to four slots for every h_m of the matrix, about one in six of them zero."""
+    top = 10**digits
+    return {
+        m: [0] if rng.random() < 1 / 6 else [rng.randint(-top, top) for _ in range(rng.randint(1, 4))]
+        for m in range(parts[0] + len(parts))
+    }
+
+
+def permutation_rows(l: int, shift: int, rng: random.Random) -> dict:
+    """h_m for the shape (l^l), zero but at m = l + shift and (for shift > 0) m = shift.
+
+    Each is one monomial with an odd coefficient of either sign.  The
+    matrix has h_(l+shift) at (i, i + shift) and h_shift at
+    (i, i + shift - l): one permutation, whose term is the determinant, with
+    a coefficient of +-the permanent of the norms, the bound the width is
+    taken from.
+    """
+    rows = {m: [0] for m in range(1, 2 * l)}
+    rows[l + shift] = [0] * rng.randint(0, 3) + [rng.choice((-1, 1)) * (rng.randint(2, 10**6) | 1)]
+    if shift:
+        rows[shift] = [0] * rng.randint(0, 3) + [rng.choice((-1, 1)) * (rng.randint(2, 99) | 1)]
+    return rows
+
+
+def test_jacobi_trudi_tail_against_sympy():
     rng = random.Random(53)
-    for size in (2, 3, 4, 5):
-        for _ in range(3):
-            matrix = random_matrix(rng, size)
-            assert_det_matches_sympy(matrix)
-            # Swapping two rows flips the sign.
-            assert det_fraction_free(matrix[1::-1] + matrix[2:]) == -det_fraction_free(matrix)
-    # Zero pivots at the first and at a later step need a row swap.
-    assert_det_matches_sympy([[PolyQQ.zero(), Q], [Q2 + 1, Q * 3]])
-    later = [[ONE, ONE, Q], [ONE, ONE, Q2], [Q, ONE - Q, ONE]]
-    assert_det_matches_sympy(later)
-    # Singular: a zero column, and a row that is a multiple of another.
-    zero_col = [[PolyQQ.zero(), Q, ONE], [PolyQQ.zero(), Q2, Q], [PolyQQ.zero(), ONE, Q2]]
-    assert det_fraction_free(zero_col).is_zero
-    rows = random_matrix(rng, 4)
-    rows[2] = [e * (Q - Q2) for e in rows[0]]
-    assert det_fraction_free(rows).is_zero
-    assert_det_matches_sympy(rows)
-    # Laurent entries in q and q2, over integers and over denominators, at
-    # every size up to 6; with 200-digit coefficients up to size 5, where one
-    # such matrix takes about 1 s (size 6 takes about 10 s, see CHANGES.md).
-    for size in range(1, 7):
-        for rational in (False, True):
-            assert_det_matches_ring(random_laurent_matrix(rng, size, rational))
-            if size <= 5:
-                assert_det_matches_ring(random_laurent_matrix(rng, size, rational, BIG))
-    # Coefficients at +B and -B, B the permanent bound, with and without
-    # denominators, at every size up to 6.
-    for size in range(1, 7):
-        for sign in (1, -1):
-            matrix = monomial_permutation_matrix(rng, size, sign)
-            assert_det_matches_ring(matrix)
-            ((_, c),) = det_fraction_free(matrix).items()
-            assert (c > 0) == (sign > 0)
-    # The top exponent S - 1 of the determinant's q-window, next to q2-terms:
-    # prod (q^a_i + 2*q2 + 1) has q^(sum a_i), and q2 at q^0.
-    diag = [
-        [Q**a + Q2 * 2 + 1 if i == j else PolyQQ.zero() for j in range(3)]
-        for i, a in enumerate((2, 1, 3))
-    ]
-    assert_det_matches_ring(diag)
-    diag[1][0] = PolyQQ.monomial(-5, 0, 1)
-    assert_det_matches_ring(diag)
-    # The smallest-pivot rule swaps at step 0 (|2^w + 2| > 1), and at step 1
-    # (the reduced column holds q + 5 over 1), each flipping the sign once.
-    # A 2 x 2 takes the Leibniz formula, so these are 3 x 3.
-    assert_det_matches_ring([[Q + 2, ONE, Q2], [ONE, Q, ONE * 3], [Q * 2, ONE * 5, ONE]])
-    assert_det_matches_ring([[Q2 + Q, ONE * 3, Q], [ONE * 2, Q, ONE], [Q2 * 4, ONE, Q2 - 1]])
-    assert_det_matches_ring([
-        [ONE, ONE * 2, ONE * 3],
-        [ONE * 2, Q + 9, ONE],
-        [ONE * 3, ONE * 7, Q],
-    ])
-    assert_det_matches_ring([
-        [ONE, PolyQQ.zero(), PolyQQ.zero()],
-        [PolyQQ.zero(), Q + 5, Q2],
-        [PolyQQ.zero(), ONE, Q * Fraction(1, 2)],
-    ])
-    # Zero rows and columns at every position, and singular matrices: rows
-    # that depend on others, and a shape whose window is empty (S < 1).
-    for size in (2, 4, 6):
-        for k in (0, size // 2, size - 1):
-            matrix = random_laurent_matrix(rng, size, True)
-            matrix[k] = [PolyQQ.zero()] * size
-            assert det_fraction_free(matrix).is_zero
-            matrix = random_laurent_matrix(rng, size, True)
-            for row in matrix:
-                row[k] = PolyQQ.zero()
-            assert det_fraction_free(matrix).is_zero
-        matrix = random_laurent_matrix(rng, size, True)
-        matrix[-1] = [
-            a * (Q - PolyQQ.monomial(Fraction(1, 3), 0, -1)) + b * 7
-            for a, b in zip(matrix[0], matrix[-2])
-        ]
-        assert det_fraction_free(matrix).is_zero
-        assert_det_matches_ring(matrix)
-    empty_window = [[Q**3, ONE, ONE], [ONE, PolyQQ.zero(), PolyQQ.zero()], [ONE, PolyQQ.zero(), PolyQQ.zero()]]
-    assert det_fraction_free(empty_window).is_zero
-    assert det_fraction_free([[Q**10 + 1, ONE], [ONE, PolyQQ.zero()]]) == -1
-    # Jacobi-Trudi matrices over two atoms: the window's top q-degree is |mu|.
-    for mu, a in (((3, 2, 2), Alphabet(2, ((4, Q), (-3, Q2)))), ((4, 1, 1, 1), Alphabet(-1, ((5, ONE - Q), (2, Q2))))):
-        l = len(mu)
-        matrix = [
-            [h_of(mu[i] - i + j, a) if mu[i] - i + j >= 0 else PolyQQ.zero() for j in range(l)]
-            for i in range(l)
-        ]
-        assert_det_matches_ring(matrix)
-
-
-def test_det_fraction_free_uses_no_polynomial_arithmetic(monkeypatch):
-    # From 3 x 3 on; a 2 x 2 is the Leibniz formula's two PolyQQ products.
-    rng = random.Random(71)
-    cases = [random_laurent_matrix(rng, size, True) for size in (3, 5, 6)]
-    cases += [
-        monomial_permutation_matrix(rng, 4, -1),
-        [[ONE, ONE * 2, ONE * 3], [ONE * 2, Q + 9, ONE], [ONE * 3, ONE * 7, Q]],
-    ]
-    expected = [ring_det(matrix) for matrix in cases]
-
-    def refuse(*args):
-        raise AssertionError("PolyQQ arithmetic inside det_fraction_free")
-
-    for name in (
-        "__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
-        "__neg__", "__pow__", "divexact",
-    ):
-        monkeypatch.setattr(PolyQQ, name, refuse)
-    for matrix, want in zip(cases, expected):
-        assert dict(det_fraction_free(matrix).items()) == want
+    shapes = [mu.parts for size in range(1, 9) for mu in enumerate_partitions(size)]
+    # Random rows, and 200-digit ones up to five parts.
+    for _ in range(120):
+        parts = rng.choice(shapes)
+        assert_tail_matches_ring(random_rows(rng, parts, 1), parts)
+        if len(parts) <= 5:
+            assert_tail_matches_ring(random_rows(rng, parts, 200), parts)
+    # The slot count is the edge: a determinant whose top t-degree is n - 1
+    # leaves a digit past n - 1 slots.
+    rows = {0: [1], 1: [2, 3], 2: [5, 0, 7], 3: [1, 1, 1, 2]}
+    got = assert_tail_matches_ring(rows, (3,))
+    assert got[-1] == 2
+    with pytest.raises(ArithmeticError):
+        _jacobi_trudi(rows.__getitem__, (3,), len(got) - 1)
+    # Coefficients at +B and -B, B the permanent bound over the norms, at
+    # every size up to 6 and every cyclic shift.
+    signs = set()
+    for l in range(1, 7):
+        for shift in range(l):
+            for _ in range(3):
+                rows = permutation_rows(l, shift, rng)
+                got = assert_tail_matches_ring(rows, (l,) * l)
+                (top,) = [c for c in got if c]
+                norms = [[sum(map(abs, rows[l - i + j])) for j in range(l)] for i in range(l)]
+                assert abs(top) == _permanent_bound(norms), (l, shift, rows)
+                signs.add(top > 0)
+    assert signs == {False, True}
+    # Zero pivots need a row swap, at the first step (h_2 = 0 in the matrix
+    # of (2, 1)) and at the second (for (1, 1, 1), step 0 swaps in the row
+    # of h_0 = 1, the smallest pivot, and leaves h_0*h_2 - h_1^2 = 0 below
+    # it, beside h_0^2 = 1).
+    assert_tail_matches_ring({0: [1], 1: [4, 1], 2: [0], 3: [3, 0, 5]}, (2, 1))
+    assert_tail_matches_ring({0: [1], 1: [0, 1], 2: [0, 0, 1], 3: [2, 9, 0, 4]}, (1, 1, 1))
+    # Zero rows and columns at every position give [].
+    for parts in ((3, 1), (4, 4, 2, 1), (6, 5, 5, 3, 2, 1)):
+        l = len(parts)
+        for k in (0, l // 2, l - 1):
+            rows = random_rows(rng, parts, 3)
+            for j in range(l):
+                if parts[k] - k + j >= 0:
+                    rows[parts[k] - k + j] = [0]
+            assert assert_tail_matches_ring(rows, parts) == []
+            rows = random_rows(rng, parts, 3)
+            for i in range(l):
+                if parts[i] - i + k >= 0:
+                    rows[parts[i] - i + k] = [0]
+            assert assert_tail_matches_ring(rows, parts) == []
+    # Singular with no zero row or column: rows 1 and 2 of (7, 5, 3) hold
+    # h_4 and h_1 in column 0 alone, so every Leibniz term has a zero factor.
+    rows = random_rows(rng, (7, 5, 3), 2)
+    rows.update({1: [3, 1], 2: [0], 3: [0], 4: [2, 0, 5], 5: [0], 6: [0], 7: [1, 1], 8: [9], 9: [0, 4]})
+    got = assert_tail_matches_ring(rows, (7, 5, 3))
+    assert got and not any(got)
 
 
 # The heaviest Schur values the query language admits (|mu| <= 30, weights

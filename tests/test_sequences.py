@@ -230,6 +230,39 @@ def test_narayana_schur_caps():
         narayana_schur(Partition((20, 1)))
 
 
+def sympy_narayana_schur(mu: Partition) -> PolyQQ:
+    """det[C_(mu_i-i+j)(q)] of the narayana(m) values by DomainMatrix.det over ZZ[q]; 1 at mu = ()."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring, q = sympy.polys.rings.ring("q", sympy.ZZ)
+    l = mu.length
+    if not l:
+        return ONE
+    rows = [
+        [
+            sum((q**a * c for (a, _), c in narayana(m).items()), ring.zero) if m >= 0 else ring.zero
+            for m in (mu[i] - i + j for j in range(l))
+        ]
+        for i in range(l)
+    ]
+    det = DomainMatrix(rows, (l, l), ring.to_domain()).det()
+    return PolyQQ({(a, 0): int(c) for (a,), c in det.terms()})
+
+
+def test_narayana_schur_against_sympy():
+    # Every shape of weight <= 10 (each within both caps), and the corners
+    # of the caps: the tallest rectangle at the largest h-index, the longest
+    # column and the longest row.
+    shapes = [mu for size in range(11) for mu in enumerate_partitions(size)]
+    shapes += [Partition((7,) * 14), Partition((1,) * 14), Partition((20,))]
+    for mu in shapes:
+        assert narayana_schur(mu) == sympy_narayana_schur(mu), mu
+    # A one-row shape (m) is C_m(q), of q-degree m - 1: the top of the
+    # determinant's |mu| slots.
+    assert narayana_schur(Partition((20,))).max_deg_q() == 19
+
+
 def test_schur_sign_pattern_observation():
     # every small Schur value is plus-or-minus a polynomial with nonnegative
     # integer coefficients; recorded as data, not a theorem
