@@ -9,24 +9,12 @@ errors, 3 I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 
 from .dsl import DslError, PrincipalHL, eval_text, evaluate
-from .identities import DEFAULT_SEED, registered_ids, run_suite
-from .lambdaring import sfraction
 from .poly import Coeff, PolyQQ
-from .sequences import (
-    catalan,
-    large_narayana,
-    narayana,
-    narayana_hsequence,
-    narayana_power_sum,
-    schroeder,
-    type_b_w,
-)
 
 TABLE_MAX_N_CAP = 200
 CF_DEPTH_CAP = 20
@@ -35,19 +23,15 @@ ECHO_CAP = 60  # characters of a query quoted back in an eval error message
 # table's rows print within Python's 4300-digit int-to-str limit.
 DIGITS_CAP = 20
 SEED_ENV_VAR = "NARAYANA_LAB_SEED"
+# identities.DEFAULT_SEED, copied so that the --seed help text does not load
+# the identity registry; a test keeps the two equal.
+DEFAULT_SEED = 1
 
-_POLY_TABLES = {
-    "narayana": (0, narayana),
-    "large-narayana": (0, large_narayana),
-    "power-sum": (1, narayana_power_sum),
-    "type-b": (0, type_b_w),
-}
-_INT_TABLES = {
-    "catalan": catalan,
-    "schroeder-small": lambda n: schroeder("small", n),
-    "schroeder-large": lambda n: schroeder("large", n),
-}
-TABLE_NAMES = sorted(_POLY_TABLES | _INT_TABLES)
+# A command imports what only it runs when it runs: sequences for table and
+# cf, identities for verify, json for --format json and the report.
+_INT_TABLES = ("catalan", "schroeder-large", "schroeder-small")
+_POLY_TABLES = ("large-narayana", "narayana", "power-sum", "type-b")
+TABLE_NAMES = sorted(_INT_TABLES + _POLY_TABLES)
 
 
 def _decimal(text: str) -> int:
@@ -91,6 +75,8 @@ def _usage_error(message: str) -> int:
 
 
 def _dump_json(doc) -> str:
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -122,12 +108,30 @@ def _cmd_eval(args) -> int:
 
 
 def _table_rows(name: str, max_n: int, at_q: Fraction | None):
+    from .sequences import (
+        catalan,
+        large_narayana,
+        narayana,
+        narayana_power_sum,
+        schroeder,
+        type_b_w,
+    )
+
     if name in _INT_TABLES:
         if at_q is not None:
             raise ValueError(f"--at-q does not apply to the integer table {name!r}")
-        fn = _INT_TABLES[name]
+        fn = {
+            "catalan": catalan,
+            "schroeder-large": lambda n: schroeder("large", n),
+            "schroeder-small": lambda n: schroeder("small", n),
+        }[name]
         return [(n, fn(n)) for n in range(max_n + 1)]
-    lo, fn = _POLY_TABLES[name]
+    lo, fn = {
+        "large-narayana": (0, large_narayana),
+        "narayana": (0, narayana),
+        "power-sum": (1, narayana_power_sum),
+        "type-b": (0, type_b_w),
+    }[name]
     rows = []
     for n in range(lo, max_n + 1):
         value = fn(n)
@@ -173,6 +177,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import run_suite
+
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except argparse.ArgumentTypeError as exc:
+            return _usage_error(str(exc))
     try:
         report = run_suite(ids=args.id or None, max_n=args.max_n, seed=args.seed)
     except ValueError as exc:
@@ -195,6 +206,9 @@ def _cmd_verify(args) -> int:
 def _cmd_cf(args) -> int:
     if not 1 <= args.depth <= CF_DEPTH_CAP:
         return _usage_error(f"--depth must be within 1..{CF_DEPTH_CAP}")
+    from .lambdaring import sfraction
+    from .sequences import narayana_hsequence
+
     coeffs = sfraction(narayana_hsequence(), args.depth)
     if args.format == "text":
         print(", ".join(str(c) for c in coeffs))
@@ -253,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument(
         "--id", action="append", default=[], metavar="ID",
-        help="restrict to one identity (repeatable); default all "
-        f"({len(registered_ids())} registered)",
+        help="restrict to one identity (repeatable); default all",
     )
     p_verify.add_argument("--max-n", type=_decimal, default=12, dest="max_n")
     p_verify.add_argument(
@@ -285,12 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         if argv[0] == "table" and len(argv[i]) > 2 and "--at-q".startswith(argv[i]):
             argv[i:i + 2] = [f"--at-q={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "verify":
-        if args.seed is None:
-            try:
-                args.seed = _default_seed()
-            except argparse.ArgumentTypeError as exc:
-                return _usage_error(str(exc))
     return args.handler(args)
 
 

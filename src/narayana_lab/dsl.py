@@ -24,7 +24,7 @@ is not a DslError, and spends quadratic time below that.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lambdaring import (
     Alphabet,
@@ -64,23 +64,23 @@ class DslError(ValueError):
         super().__init__(f"at offset {position}: expected {want}, found {found}")
 
 
-@dataclass(frozen=True)
-class AlphaTerm:
+# The parse nodes are named tuples: the query path then loads neither
+# dataclasses nor inspect.  Each kind has its own number of fields, so nodes
+# of two kinds never compare equal.
+class AlphaTerm(NamedTuple):
     sign: int  # +1 or -1
     mult: int | None  # explicit multiplier, or None when omitted
     atom: int | str  # integer constant or one of 'q', 'Q', 'q2', 'Q2'
 
 
-@dataclass(frozen=True)
-class BasisApp:
+class BasisApp(NamedTuple):
     basis: str  # 'h', 'e', 'p', 's' or 'm'
     index: int | None  # for h/e/p
     partition: tuple[int, ...] | None  # for s/m
     alpha: tuple[AlphaTerm, ...]
 
 
-@dataclass(frozen=True)
-class PrincipalHL:
+class PrincipalHL(NamedTuple):
     r: int
     n: int
 

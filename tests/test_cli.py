@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from narayana_lab.cli import main
+from narayana_lab import cli, identities
+from narayana_lab.cli import TABLE_NAMES, main
 
 try:
     import jsonschema
@@ -38,6 +39,32 @@ def test_eval_formats(capsys):
     assert doc == {"expr": "h2[3]", "result": "6"}
     assert main(["eval", "P{3,4}", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "20, -20, 4\n"
+
+
+def test_eval_csv_needs_a_plain_polynomial(capsys):
+    assert main(["eval", "h2[q2]", "--format", "csv"]) == 2
+    assert "csv output needs a plain polynomial in q" in capsys.readouterr().err
+
+
+def test_every_table_in_every_format_pinned(capsys):
+    # Rows 0..7 of every table in text, json and csv, then the polynomial
+    # tables at q = -1/2, each pinned by the SHA-256 of their joint stdout.
+    formats = ("text", "json", "csv")
+    runs = {
+        "e0c3a14ede6efc2f9f7008b3a6c6784c3e0a1c13401b0613853cc93a683befad": [
+            ["table", name, "--max-n", "7", "--format", f] for name in TABLE_NAMES for f in formats
+        ],
+        "0d7f62719feefdabeff3347128858f5d22dd4dd1c66ddf7b15ba7c134fdf2a8e": [
+            ["table", name, "--max-n", "7", "--format", f, "--at-q=-1/2"]
+            for name in ("large-narayana", "narayana", "power-sum", "type-b") for f in formats
+        ],
+    }
+    for digest, argvs in runs.items():
+        out = ""
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            out += capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_rows(capsys):
@@ -109,6 +136,26 @@ def test_cf(capsys):
     assert main(["cf", "--depth", "21"]) == 2
 
 
+def test_cf_at_depth_cap_pinned(capsys):
+    digests = {
+        "text": "2941c2e3512ca8a895b7b7a1e5cf2fd96578713ad7ef16d013685184b8b705cd",
+        "json": "d3b145ee2c1aa58afe8cc6795174801610fb303f1183a82923c217a794513b9d",
+        "csv": "64009ff36578e1cf3a843459a69046c38f24eb42407d923b6f1daf273e2f264a",
+    }
+    for fmt, digest in digests.items():
+        assert main(["cf", "--depth", "20", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_hl_formats(capsys):
+    assert main(["hl", "--r", "3", "--n", "4", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"n": 4, "r": 3, "result": "4*q^2 - 20*q + 20"}
+    assert main(["hl", "--r", "3", "--n", "4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "20, -20, 4\n"
+
+
 def test_hl(capsys):
     assert main(["hl", "--r", "3", "--n", "4"]) == 0
     assert capsys.readouterr().out == "4*q^2 - 20*q + 20\n"
@@ -143,6 +190,18 @@ def test_verify_unwritable_report(tmp_path, capsys):
         ["verify", "--id", "catalan-ratio", "--max-n", "4", "--report", str(target)]
     )
     assert code == 3
+
+
+def test_verify_report_path_is_a_directory(tmp_path, capsys):
+    code = main(["verify", "--id", "catalan-ratio", "--max-n", "4", "--report", str(tmp_path)])
+    assert code == 3
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_cli_default_seed_is_the_suites():
+    # The CLI keeps a copy for its --seed help text, so that building the
+    # parser does not load the identity registry.
+    assert cli.DEFAULT_SEED == identities.DEFAULT_SEED
 
 
 def test_verify_stdout_deterministic(capsys):
