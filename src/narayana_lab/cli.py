@@ -28,7 +28,8 @@ SEED_ENV_VAR = "NARAYANA_LAB_SEED"
 DEFAULT_SEED = 1
 
 # A command imports what only it runs when it runs: sequences for table and
-# cf, identities for verify, json for --format json and the report.
+# cf, identities for verify (it writes its own report), json for --format
+# json.
 _INT_TABLES = ("catalan", "schroeder-large", "schroeder-small")
 _POLY_TABLES = ("large-narayana", "narayana", "power-sum", "type-b")
 TABLE_NAMES = sorted(_INT_TABLES + _POLY_TABLES)
@@ -188,10 +189,10 @@ def _cmd_verify(args) -> int:
         report = run_suite(ids=args.id or None, max_n=args.max_n, seed=args.seed)
     except ValueError as exc:
         return _usage_error(str(exc))
-    payload = _dump_json(report.to_document())
+    payload = report.to_json()
     if args.report:
         try:
-            with open(args.report, "w", encoding="utf-8") as fh:
+            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(payload + "\n")
         except OSError as exc:
             print(f"narayana-lab: cannot write report: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, Sequence
 
@@ -1201,31 +1202,45 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.results)
 
-    def to_document(self) -> dict:
-        results = []
+    def to_json(self) -> str:
+        """The report as ``json.dumps(document, indent=2, sort_keys=True)`` writes it.
+
+        The text is written in one pass with the encoder's exact layout: keys in
+        sorted order, two-space indents, ``{}`` and ``[]`` for empty containers,
+        ints by ``str``, a Fraction parameter as the string "a/b", and every
+        string through the encoder's own escaper.  The indented encoder is the
+        pure-Python one, about four times slower on a suite report.
+        """
+        enc = encode_basestring_ascii
+        cases = []
         for case in self.results:
-            entry: dict = {
-                "id": case.id,
-                "params": {k: _param_json(v) for k, v in sorted(case.params.items())},
-                "status": case.status,
-            }
-            if not case.passed:
-                entry["lhs"] = str(case.lhs)
-                entry["rhs"] = str(case.rhs)
-            results.append(entry)
-        return {
-            "suite_version": self.suite_version,
-            "seed": self.seed,
-            "max_n": self.max_n,
-            "results": results,
-            "counts": self.counts,
-        }
-
-
-def _param_json(v: int | Fraction):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
+            if case.params:
+                params = ",\n        ".join([
+                    f"{enc(k)}: "
+                    f"{enc(f'{v.numerator}/{v.denominator}') if isinstance(v, Fraction) else v}"
+                    for k, v in sorted(case.params.items())
+                ])
+                params = f"{{\n        {params}\n      }}"
+            else:
+                params = "{}"
+            if case.passed:
+                cases.append(
+                    f'    {{\n      "id": {enc(case.id)},\n      "params": {params},'
+                    f'\n      "status": "pass"\n    }}'
+                )
+            else:
+                cases.append(
+                    f'    {{\n      "id": {enc(case.id)},\n      "lhs": {enc(str(case.lhs))},'
+                    f'\n      "params": {params},\n      "rhs": {enc(str(case.rhs))},'
+                    f'\n      "status": "fail"\n    }}'
+                )
+        results = "[\n" + ",\n".join(cases) + "\n  ]" if cases else "[]"
+        counts = self.counts
+        return (
+            f'{{\n  "counts": {{\n    "fail": {counts["fail"]},\n    "pass": {counts["pass"]}'
+            f'\n  }},\n  "max_n": {self.max_n},\n  "results": {results},'
+            f'\n  "seed": {self.seed},\n  "suite_version": {enc(self.suite_version)}\n}}'
+        )
 
 
 def _param_sort_key(params: Params):

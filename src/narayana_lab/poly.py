@@ -867,13 +867,15 @@ def _divide_exactly(rows: list[list[int]], start: int, divisor: int) -> None:
 def _inverse_mod_2k(x: int, k: int) -> int:
     """An inverse of the odd x modulo 2^k, by Newton's step y <- y(2 - xy).
 
-    x is its own inverse modulo 8, and each step doubles the bits that are right.
+    x is its own inverse modulo 8, and each step doubles the bits that are right,
+    up to k: the last step works modulo 2^k, and the factor 2 - xy is reduced
+    before the product.
     """
     y, bits = x & 7, 3
     while bits < k:
-        bits *= 2
+        bits = min(2 * bits, k)
         mask = (1 << bits) - 1
-        y = y * (2 - (x & mask) * y) & mask
+        y = y * (2 - (x & mask) * y & mask) & mask
     return y
 
 

@@ -180,6 +180,27 @@ def test_verify_single_id(tmp_path, capsys):
         jsonschema.validate(doc, schema)
 
 
+def test_verify_never_runs_the_indented_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps with an indent runs the pure-Python encoder; the report is
+    # written without it, to stdout and to a file alike.
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("indented JSON encoder on the verify route")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({}, indent=2)
+    argv = ["verify", "--id", "thm7", "--max-n", "5", "--seed", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "report.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    assert capsys.readouterr().out == f"verify: 10 pass, 0 fail -> {report}\n"
+    assert report.read_bytes() == printed.encode()
+    assert json.loads(printed)["counts"] == {"pass": 10, "fail": 0}
+
+
 def test_verify_unknown_id(capsys):
     assert main(["verify", "--id", "no-such"]) == 2
 

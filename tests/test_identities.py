@@ -10,6 +10,8 @@ from narayana_lab.identities import (
     DEFAULT_SEED,
     ScheduleError,
     SUITE_VERSION,
+    IdentityCase,
+    SuiteReport,
     UnknownIdentityError,
     VERIFY_MAX_N_CAP,
     check_identity,
@@ -20,6 +22,8 @@ from narayana_lab.partitions import enumerate_partitions, z_of
 from narayana_lab.poly import PolyQQ, _horner as horner
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.sequences import catalan, large_narayana, narayana, schroeder
+
+from report_oracle import oracle_document
 
 Q = PolyQQ.var_q()
 ONE = PolyQQ.one()
@@ -166,13 +170,10 @@ def test_schur_table_has_eleven_cases():
 def test_reports_reproducible():
     a = run_suite(ids=["lemma2", "lemma3-a", "rot"], max_n=5, seed=42)
     b = run_suite(ids=["lemma2", "lemma3-a", "rot"], max_n=5, seed=42)
-    assert json.dumps(a.to_document(), sort_keys=True) == json.dumps(
-        b.to_document(), sort_keys=True
-    )
+    assert a.to_json() == b.to_json()
+    assert json.loads(a.to_json()) == json.loads(b.to_json())
     c = run_suite(ids=["lemma2", "lemma3-a", "rot"], max_n=5, seed=43)
-    assert json.dumps(a.to_document(), sort_keys=True) != json.dumps(
-        c.to_document(), sort_keys=True
-    )
+    assert json.loads(a.to_json()) != json.loads(c.to_json())
 
 
 def test_schedule_independent_of_id_subset():
@@ -192,7 +193,7 @@ def test_results_ordered():
 
 def test_report_document_shape():
     report = run_suite(ids=["rot"], max_n=4, seed=9)
-    doc = report.to_document()
+    doc = json.loads(report.to_json())
     assert doc["suite_version"] == SUITE_VERSION
     assert doc["seed"] == 9
     assert doc["max_n"] == 4
@@ -214,6 +215,27 @@ def test_failure_entries_carry_both_sides():
     assert case.status == "fail"
 
 
+def _oracle_text(report) -> str:
+    return json.dumps(oracle_document(report), indent=2, sort_keys=True)
+
+
+def test_report_text_is_the_indented_encoders():
+    report = run_suite(max_n=12)
+    assert report.to_json() == _oracle_text(report)
+    half = Fraction(1, 2)
+    failing = IdentityCase("koshy", {"n": 3, "r": half}, ONE * Fraction(-7, 3), Q * half + 2)
+    mixed = IdentityCase("rot", {"z": 0, "a": -4, "B": Fraction(-5, 3), "n": 12}, Q, Q)
+    bare = IdentityCase("schur-table-6", {}, ONE, ONE)
+    escaped = IdentityCase('say "\\x"\t\u00e9\u2603\U0001d11e', {"\u00e9\"": 1}, Q, ONE)
+    for results in ((failing,), (mixed, bare), (escaped, failing, bare), ()):
+        for seed in (DEFAULT_SEED, 0, -17):
+            hand = SuiteReport(SUITE_VERSION, seed, 3, results)
+            assert hand.to_json() == _oracle_text(hand), (results, seed)
+    assert json.loads(SuiteReport(SUITE_VERSION, -17, 3, (escaped,)).to_json())["results"] == [
+        {"id": escaped.id, "lhs": "q", "params": {"\u00e9\"": 1}, "rhs": "1", "status": "fail"}
+    ]
+
+
 def test_each_case_is_compared_once(monkeypatch):
     from dataclasses import fields
 
@@ -228,7 +250,7 @@ def test_each_case_is_compared_once(monkeypatch):
         return eq(self, other)
 
     monkeypatch.setattr(PolyQQ, "__eq__", counted)
-    document = report.to_document()
+    document = json.loads(report.to_json())
     assert report.ok and report.counts == document["counts"]
     assert [c.status for c in report.results] == ["pass"] * len(report.results)
     # Each case compared its sides when it was made; the report only reads that.

@@ -334,6 +334,18 @@ def test_permanent_bound_against_the_permanent():
         assert _permanent_bound(a) == permanent(a)
 
 
+def test_2_adic_inverse_stops_at_k():
+    # x wider than k; the Newton steps stop at k bits, and the last one must
+    # still reach them.
+    rng = random.Random(31)
+    for k in [*range(1, 70), 127, 128, 129, 1000, 4096]:
+        for _ in range(3):
+            x = rng.getrandbits(k + rng.randint(1, 2 * k)) | 1
+            y = _inverse_mod_2k(x, k)
+            assert x * y % (1 << k) == 1, (k, x)
+            assert y.bit_length() <= max(k, 3), (k, x)
+
+
 def test_exact_division_by_a_2_adic_inverse():
     rng = random.Random(29)
     for k in (1, 2, 3, 4, 7, 64, 65, 1000, 5000):
