@@ -19,11 +19,22 @@ so fast past it that one query could run for minutes.  The lexer refuses, with
 a DslError at its offset, a number or index of more digits than QUERY_CAP has,
 before converting it: int() itself refuses past 4300 digits with an error that
 is not a DslError, and spends quadratic time below that.
+
+evaluate reads every value from one memo, _value, a functools.lru_cache of
+4096 entries.  Its key is built after the caps and alphabet_of: the basis,
+the index or partition, and the canonical Alphabet, or (r, n) for P{r,n}.
+So equal points written differently, such as h2[q + 1] and h2[1 + q], share
+one entry, and every field of the key is bounded by QUERY_CAP.  The text and
+its parse tree are not bounded: h2[q - q + q - ...] is a valid query of any
+length, so a memo keyed on them would hold bytes without bound.  A query
+that raises adds no entry.  The values are immutable and render once (see
+poly), so a repeated query costs a parse, one Alphabet and one lookup.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .lambdaring import (
@@ -274,7 +285,7 @@ def evaluate(expr: Expr) -> PolyQQ:
     if isinstance(expr, PrincipalHL):
         if max(expr.r, expr.n) > QUERY_CAP:
             raise ValueError(f"P{{r,n}} needs r and n at most {QUERY_CAP}")
-        return hall_littlewood_principal(expr.r, expr.n)
+        return _value("P", (expr.r, expr.n), None)
     size = expr.index if expr.partition is None else sum(expr.partition)
     if size > QUERY_CAP:
         raise ValueError(f"index or weight {size} exceeds the query cap {QUERY_CAP}")
@@ -284,14 +295,25 @@ def evaluate(expr: Expr) -> PolyQQ:
         raise ValueError(
             f"an alphabet weight or the constant exceeds the query cap {QUERY_CAP}"
         )
-    if expr.basis == "h":
-        return h_of(expr.index, point)
-    if expr.basis == "e":
-        return e_of(expr.index, point)
-    if expr.basis == "p":
-        return p_of(expr.index, point)
-    mu = Partition(expr.partition)
-    if expr.basis == "s":
+    return _value(expr.basis, expr.index if expr.partition is None else expr.partition, point)
+
+
+# Bounded above the largest per-process working set of the benchmark
+# workloads (1200 values for one query-distinct batch, 240 for the
+# query-repeat pool), so it evicts nothing there.
+@lru_cache(maxsize=4096)
+def _value(basis: str, index: int | tuple[int, ...], point: Alphabet | None) -> PolyQQ:
+    """The value of a query within the caps, by its canonical key (see the module docstring)."""
+    if basis == "P":
+        return hall_littlewood_principal(*index)
+    if basis == "h":
+        return h_of(index, point)
+    if basis == "e":
+        return e_of(index, point)
+    if basis == "p":
+        return p_of(index, point)
+    mu = Partition(index)
+    if basis == "s":
         return s_of(mu, point)
     if not point.is_constant:
         raise ValueError("m needs a pure-constant alphabet")

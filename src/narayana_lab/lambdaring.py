@@ -186,9 +186,6 @@ def m_of_constant(mu: Partition, c: int) -> int:
     return gen_binomial(c, mu.length) * composition_multiplicity(mu)
 
 
-# Bounded above the largest per-process working set of the benchmark
-# workloads (250 values for one query-distinct batch).
-@lru_cache(maxsize=1024)
 def s_of(mu: Partition, a: Alphabet) -> PolyQQ:
     """Schur function s_mu at the point a; 1 at the empty partition.
 

@@ -25,8 +25,10 @@ runs in CPython's bigint arithmetic, and read the result's digits once
   read off the packed row, for a Schur value off a constant point, with no
   PolyQQ in between; the Narayana alphabet feeds it its int rows.
 
-A value is rendered in one pass over its sorted exponents, with the names of
-its monomials read from a bounded table.
+A value is rendered once, in one pass over its sorted exponents, with the
+names of its monomials read from a bounded table; the text is kept in the
+value beside its hash, so a value read again from a memo is not rendered
+again.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class PolyQQ:
     the representation is canonical, so equality and hashing are structural.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_text")
 
     def __init__(self, terms: Mapping[ExpPair, Coeff] | None = None):
         clean: dict[ExpPair, Coeff] = {}
@@ -89,6 +91,7 @@ class PolyQQ:
                     clean[exps] = c
         self._terms = clean
         self._hash: int | None = None
+        self._text: str | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -434,32 +437,41 @@ class PolyQQ:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Terms by descending (deg_q, deg_q2), as in "3*q^2*q2 - 1/2*q + 1"."""
-        terms = self._terms
-        if not terms:
-            return "0"
-        pieces: list[str] = []
-        append = pieces.append
-        for exps in sorted(terms, reverse=True):
-            c = terms[exps]
-            name = _NAMES.get(exps)
-            if name is None:
-                name = _monomial_name(exps)
-            sign = " + "
-            if c < 0:
-                sign, c = " - ", -c
-            if not name:
-                append(f"{sign}{c}")
-            elif c == 1:
-                append(sign + name)
-            else:
-                append(f"{sign}{c}*{name}")
-        # The first term has no spaces around its sign, and no "+".
-        text = "".join(pieces)
-        return "-" + text[3:] if text[1] == "-" else text[3:]
+        """Terms by descending (deg_q, deg_q2), as in "3*q^2*q2 - 1/2*q + 1".
+
+        The text is built on the first call and kept in the value.
+        """
+        text = self._text
+        if text is None:
+            text = self._text = _render(self._terms)
+        return text
 
     def __repr__(self) -> str:
         return f"PolyQQ({self})"
+
+
+def _render(terms: dict[ExpPair, Coeff]) -> str:
+    if not terms:
+        return "0"
+    pieces: list[str] = []
+    append = pieces.append
+    for exps in sorted(terms, reverse=True):
+        c = terms[exps]
+        name = _NAMES.get(exps)
+        if name is None:
+            name = _monomial_name(exps)
+        sign = " + "
+        if c < 0:
+            sign, c = " - ", -c
+        if not name:
+            append(f"{sign}{c}")
+        elif c == 1:
+            append(sign + name)
+        else:
+            append(f"{sign}{c}*{name}")
+    # The first term has no spaces around its sign, and no "+".
+    text = "".join(pieces)
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 # Rendered monomials by exponent pair, bounded: past the cap a name is built
@@ -883,6 +895,7 @@ def _wrap(terms: dict[ExpPair, Coeff]) -> PolyQQ:
     p = PolyQQ.__new__(PolyQQ)
     p._terms = terms
     p._hash = None
+    p._text = None
     return p
 
 

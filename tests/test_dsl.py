@@ -8,11 +8,13 @@ from narayana_lab.dsl import (
     DslError,
     PrincipalHL,
     QUERY_CAP,
+    _value,
     alphabet_of,
     eval_text,
     parse,
     render,
 )
+from narayana_lab.cli import main
 from narayana_lab.lambdaring import Alphabet, VALUE_Q, h_of, hall_littlewood_principal
 from narayana_lab.poly import PolyQQ
 
@@ -176,3 +178,55 @@ def test_long_literals_are_refused_before_conversion():
             parse(text)
         assert info.value.position == offset, text
     assert parse("h30[99*q - 98*q]").alpha[0].mult == 99
+
+
+def test_a_repeated_query_returns_the_memoized_value_and_its_text():
+    first = eval_text("s{3,1}[2 + q - Q2]")
+    text = str(first)
+    again = eval_text("s{3,1}[2 + q - Q2]")
+    assert again is first
+    assert str(again) is text
+
+
+def test_the_memo_is_keyed_on_the_point_not_the_text():
+    _value.cache_clear()
+    long_text = "h2[1 + 2*q - q" + " + q - q" * 999 + "]"
+    assert len(parse(long_text).alpha) == 2001
+    texts = ("h2[q + 1]", "h2[1 + q]", "h2[2*q - q + 1]", long_text)
+    values = [eval_text(t) for t in texts]
+    assert all(v is values[0] for v in values)
+    info = _value.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 3, 1)
+
+
+def test_a_refused_query_adds_no_entry():
+    refused = ("h31[q]", "m{2}[q]", "p0[q]", "s{" + ",".join(["1"] * 13) + "}[q]")
+    for text in refused:
+        before = _value.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                eval_text(text)
+        assert _value.cache_info().currsize == before, text
+
+
+def test_memoized_answers_equal_cold_answers(capsys):
+    texts = (
+        "h5[2 + q - 2*Q2]", "h3[0 - 4]", "e4[1 + q + q2]", "e3[q - 2]", "p7[3 - q + 2*Q]",
+        "p3[5]", "s{3,2,1}[q + Q2]", "s{2,2}[3]", "s{1,1,1,1}[2*q - 1]", "m{2,1}[4]",
+        "P{3,4}", "P{12,9}",
+    )
+    warm = [eval_text(t) for t in texts]
+    assert [eval_text(t) for t in texts] == warm
+    _value.cache_clear()
+    cold = [eval_text(t) for t in texts]
+    assert cold == warm
+    assert [str(v) for v in cold] == [str(v) for v in warm]
+    for fmt in ("text", "csv", "json"):
+        argv = ["hl", "--r", "7", "--n", "5", "--format", fmt]
+        outputs = []
+        for clear in (False, False, True):
+            if clear:
+                _value.cache_clear()
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[2] == outputs[0], fmt

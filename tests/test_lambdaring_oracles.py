@@ -168,7 +168,6 @@ def test_h_matches_the_table_and_head_tail_route():
 
 
 def test_s_matches_jacobi_trudi_over_h():
-    s_of.cache_clear()
     rng = random.Random(611)
     for _ in range(60):
         a = random_point(rng, WIDE_ATOMS)
@@ -203,7 +202,6 @@ def test_s_off_a_constant_reads_no_h_value(monkeypatch):
         (Partition((4, 3, 3, 1, 1)), Alphabet(-1, ((1, Q), (2, Q2), (-1, ONE - Q2)))),
     ]
     expected = [jacobi_trudi(lambda k: h_of(k, a), mu) for mu, a in cases]
-    s_of.cache_clear()
     monkeypatch.setattr(lambdaring, "h_of", refuse)
     for (mu, a), want in zip(cases, expected):
         assert s_of(mu, a) == want, (mu, a)
@@ -232,7 +230,6 @@ def test_s_off_a_constant_is_one_packed_kernel(monkeypatch):
         (Partition((3, 3, 2, 1, 1)), Alphabet(-1, ((1, Q), (2, Q2), (-1, ONE - Q2)))),
     ]
     expected = [jacobi_trudi(lambda k: h_of(k, a), mu) for mu, a in cases]
-    s_of.cache_clear()
     monkeypatch.setattr(PolyQQ, "__mul__", refuse)
     monkeypatch.setattr(PolyQQ, "__rmul__", refuse)
     monkeypatch.setattr(poly, "_decode", counted)
@@ -253,7 +250,6 @@ def test_s_matches_jacobi_trudi_on_every_small_shape():
         Alphabet(1, ((2, Q * Fraction(1, 2)), (-1, PolyQQ.monomial(1, -1, 1)))),
         Alphabet(-2, ((1, PolyQQ.monomial(Fraction(-3, 4), 2, -1)), (3, ONE - Q2))),
     )
-    s_of.cache_clear()
     for a in points:
         for mu in shapes:
             assert s_of(mu, a) == jacobi_trudi(lambda k: h_of(k, a), mu), (mu, a)
@@ -286,7 +282,6 @@ def integer_jacobi_trudi(mu: Partition, c: int) -> int:
 def test_s_at_a_constant_matches_jacobi_trudi():
     shapes = [mu for size in range(11) for mu in enumerate_partitions(size)]
     assert len(shapes) == 139
-    s_of.cache_clear()
     for c in (-30, -2, 0, 1, 7, 30):
         for mu in shapes:
             assert s_of(mu, Alphabet.of_constant(c)) == integer_jacobi_trudi(mu, c), (mu, c)
@@ -316,7 +311,6 @@ def test_s_at_a_constant_takes_no_determinant(monkeypatch):
 
     cases = [(Partition(parts), c) for parts in CAP_SHAPES[:4] + [(3, 2, 2), (1,), (4, 1)] for c in (-30, -2, 0, 7)]
     expected = [integer_jacobi_trudi(mu, c) for mu, c in cases]
-    s_of.cache_clear()
     monkeypatch.setattr(lambdaring, "h_of", refuse)
     monkeypatch.setattr(poly, "_bareiss", refuse)
     for (mu, c), want in zip(cases, expected):

@@ -218,6 +218,20 @@ def test_rendering_matches_the_term_by_term_renderer():
     assert len(poly._NAMES) == poly._NAMES_CAP
 
 
+def test_a_value_renders_once_and_its_results_render_afresh():
+    v = PolyQQ({(2, 1): 3, (1, 0): Fraction(-1, 2), (0, 0): 1, (0, 2): -7})
+    text = str(v)
+    assert str(v) is text
+    # Each result is a new value, from PolyQQ() or from _wrap: none may carry v's text.
+    results = (
+        -v, v + 1, v * 2, v**2,
+        (v * (ONE - Q)).divexact(ONE - Q), v.divexact(Q2), v.subst_q(ONE - Q),
+    )
+    for x in results:
+        assert str(x) == str(PolyQQ(dict(x.items()))), dict(x.items())
+    assert results[4] == v and str(results[4]) == text
+
+
 def test_q_coefficients():
     assert (Q**2 + 3 * Q + 1).q_coefficients() == [1, 3, 1]
     with pytest.raises(ValueError):

@@ -904,7 +904,6 @@ def test_schur_kernel_against_sympy():
     for _ in range(60):
         factors = [(rng.choice((-3, -2, -1, 1, 2, 3)), x) for x in rng.sample(pool, rng.randint(1, 3))]
         cases.append((factors, rng.choice(shapes)))
-    s_of.cache_clear()
     for factors, parts in cases + SCHUR_EDGES:
         want = ring_schur(factors, parts)
         got = _schur(factors, parts)

@@ -1,7 +1,9 @@
 import importlib
 import inspect
 import pkgutil
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,9 +57,11 @@ def test_narayana_memo_is_bounded():
     assert narayana(200).q_coefficients() == list(narayana_row(200))
 
 
-def test_every_memo_in_the_package_is_bounded():
-    # Only the two zero-argument alphabet singletons use an unbounded cache.
-    singletons = {"narayana_hsequence", "catalan_hsequence"}
+# The two zero-argument alphabet singletons, the only memos with an unbounded cache.
+SINGLETONS = {"narayana_hsequence", "catalan_hsequence"}
+
+
+def package_memos() -> dict:
     memos = {}
     for info in pkgutil.iter_modules(narayana_lab.__path__):
         module = importlib.import_module(f"narayana_lab.{info.name}")
@@ -66,11 +70,16 @@ def test_every_memo_in_the_package_is_bounded():
             for fn in (obj, *members):
                 if hasattr(fn, "cache_info") and not isinstance(fn, type):
                     memos[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return memos
+
+
+def test_every_memo_in_the_package_is_bounded():
+    memos = package_memos()
     assert {"narayana_lab.sequences.narayana_row", "narayana_lab.sequences.catalan",
             "narayana_lab.sequences.jacobi11", "narayana_lab.lambdaring.h_of",
-            "narayana_lab.lambdaring.s_of", "narayana_lab.identities._thm6_table"} <= set(memos)
+            "narayana_lab.dsl._value", "narayana_lab.identities._thm6_table"} <= set(memos)
     for name, fn in memos.items():
-        if fn.__name__ in singletons:
+        if fn.__name__ in SINGLETONS:
             assert not inspect.signature(fn).parameters, name
         else:
             assert fn.cache_info().maxsize is not None, name
@@ -78,6 +87,24 @@ def test_every_memo_in_the_package_is_bounded():
     for hseq in (narayana_hsequence(), catalan_hsequence()):
         assert hseq._h_fn.cache_info().maxsize is not None
     assert narayana_hsequence().h(7) is narayana(7)
+
+
+def test_readme_lists_every_memo_with_its_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Per-n memos\n", 1)[1].split("\n### ", 1)[0]
+    table, below = section.split("\n\n", 2)[1:]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        names, _, bound = row.strip("|").split(" | ")
+        for name in re.findall(r"`([\w.]+)`", names):
+            listed[f"narayana_lab.{name}"] = int(bound.split()[0])
+    memos = package_memos()
+    bounded = {name: fn.cache_info().maxsize for name, fn in memos.items()
+               if fn.__name__ not in SINGLETONS}
+    assert listed == bounded
+    assert len(listed) == 11
+    for name in SINGLETONS:
+        assert f"`{name}()`" in below, name
 
 
 def second_recurrence(n: int) -> PolyQQ:
