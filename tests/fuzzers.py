@@ -7,6 +7,7 @@ on the first violation, so callers can assert on the count they asked for.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from narayana_lab.dsl import AlphaTerm, BasisApp, PrincipalHL, parse, render
 from narayana_lab.lambdaring import Alphabet, VALUE_ONE_MINUS_Q, VALUE_Q, h_of, h_series
@@ -59,23 +60,24 @@ def fuzz_pascal(cases: int = 10_000, seed: int = 2024) -> int:
     return cases
 
 
-def random_expr(rng: random.Random):
+def random_expr(rng: random.Random, top: int = 9):
+    """A random parse tree; its numbers, but for the partition parts, are at most ``top``."""
     def alpha() -> tuple[AlphaTerm, ...]:
         terms = []
         for i in range(rng.randint(1, 4)):
             sign = 1 if i == 0 or rng.random() < 0.5 else -1
-            mult = rng.choice((None, rng.randint(1, 9)))
-            atom = rng.choice((rng.randint(0, 9), "q", "Q", "q2", "Q2"))
+            mult = rng.choice((None, rng.randint(1, top)))
+            atom = rng.choice((rng.randint(0, top), "q", "Q", "q2", "Q2"))
             terms.append(AlphaTerm(sign, mult, atom))
         return tuple(terms)
 
     kind = rng.randrange(4)
     if kind == 0:
-        return PrincipalHL(rng.randint(1, 9), rng.randint(1, 9))
+        return PrincipalHL(rng.randint(1, top), rng.randint(1, top))
     if kind == 1:
         basis = rng.choice("hep")
         lo = 1 if basis == "p" else 0
-        return BasisApp(basis, rng.randint(lo, 9), None, alpha())
+        return BasisApp(basis, rng.randint(lo, top), None, alpha())
     parts = tuple(
         sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 4))), reverse=True)
     )
@@ -83,18 +85,23 @@ def random_expr(rng: random.Random):
         return BasisApp("s", None, parts, alpha())
     const_alpha = tuple(
         AlphaTerm(1 if i == 0 or rng.random() < 0.5 else -1,
-                  rng.choice((None, rng.randint(1, 9))),
-                  rng.randint(0, 9))
+                  rng.choice((None, rng.randint(1, top))),
+                  rng.randint(0, top))
         for i in range(rng.randint(1, 3))
     )
     return BasisApp("m", None, parts, const_alpha)
 
 
-def fuzz_dsl_roundtrip(cases: int = 1000, seed: int = 2024) -> int:
-    """Rendering then re-parsing a random expression is the identity."""
+def dsl_renders(cases: int, seed: int, top: int = 9) -> Iterator[tuple]:
+    """``cases`` random parse trees with their canonical texts."""
     rng = random.Random(seed)
     for _ in range(cases):
-        expr = random_expr(rng)
-        text = render(expr)
+        expr = random_expr(rng, top)
+        yield expr, render(expr)
+
+
+def fuzz_dsl_roundtrip(cases: int = 1000, seed: int = 2024, top: int = 9) -> int:
+    """Rendering then re-parsing a random expression is the identity."""
+    for expr, text in dsl_renders(cases, seed, top):
         assert parse(text) == expr, text
     return cases

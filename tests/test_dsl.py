@@ -1,8 +1,12 @@
+import importlib.util
+import itertools
 import random
 
 import pytest
 
+from narayana_lab import dsl, lambdaring
 from narayana_lab.dsl import (
+    ATOM_VALUES,
     AlphaTerm,
     BasisApp,
     DslError,
@@ -18,7 +22,8 @@ from narayana_lab.cli import main
 from narayana_lab.lambdaring import Alphabet, VALUE_Q, h_of, hall_littlewood_principal
 from narayana_lab.poly import PolyQQ
 
-from fuzzers import fuzz_dsl_roundtrip
+from dsl_oracle import oracle_alphabet_of, oracle_parse
+from fuzzers import dsl_renders, fuzz_dsl_roundtrip
 
 Q = PolyQQ.var_q()
 
@@ -93,6 +98,116 @@ def test_lexer_error_corpus_is_pinned():
     q = BasisApp("h", 2, None, (AlphaTerm(1, None, "q"),))
     assert parse("h2[ q]") == q
     assert parse("h2[q]\t\n") == q
+
+
+def test_a_lexical_error_is_reported_before_a_syntax_error():
+    digits = ("at most 2 digits (the query cap is 30)",)
+    corpus = {
+        # The syntax error at x comes first in the text; the lexical one wins.
+        "x2[q]²": (5, ("a letter", "a digit", "punctuation"), "'²'"),
+        "h2[+ 100*q]": (5, digits, "3 digits"),
+        "P{100,2}": (2, digits, "3 digits"),
+        "s{3,100}[q]": (4, digits, "3 digits"),
+        "h123[q]": (1, digits, "3 digits"),
+        # é is a letter, so it lexes as a word and the parser refuses it.
+        "h2[q é]": (5, ("']'",), "'é'"),
+        # Offsets count characters: é is two bytes in UTF-8.
+        "h2[é]²": (5, ("a letter", "a digit", "punctuation"), "'²'"),
+    }
+    for text, want in corpus.items():
+        with pytest.raises(DslError) as info:
+            parse(text)
+        assert (info.value.position, info.value.expected, info.value.found) == want, text
+
+
+def _outcome(parser, text: str):
+    """A parser's tree, with its node types, or its error."""
+    try:
+        tree = parser(text)
+    except DslError as exc:
+        return ("error", exc.position, exc.expected, exc.found)
+    return tree, repr(tree)
+
+
+def test_parse_matches_the_oracle_parser_on_renders_and_their_edits():
+    # Renders of numbers up to 9 and up to 99, so that one inserted digit
+    # makes a number or an index one digit too long.
+    alphabet = "[]{},+-*0123456789 \tqQhepsmPé²٣"
+    rng = random.Random(25)
+    inputs = 0
+    for top in (9, 99):
+        for _, text in dsl_renders(1000, seed=top, top=top):
+            edits = [text]
+            for _ in range(10):
+                k = rng.randrange(len(text) + 1)
+                op = rng.randrange(3) if k < len(text) else 0
+                if op == 0:
+                    edits.append(text[:k] + rng.choice(alphabet) + text[k:])
+                elif op == 1:
+                    edits.append(text[:k] + text[k + 1:])
+                else:
+                    edits.append(text[:k] + rng.choice(alphabet) + text[k + 1:])
+            for edit in edits:
+                assert _outcome(parse, edit) == _outcome(oracle_parse, edit), edit
+            inputs += len(edits)
+    assert inputs == 22_000
+
+
+def test_alphabet_of_equals_the_alphabet_on_every_small_point():
+    rng = random.Random(7)
+    names = list(ATOM_VALUES)
+    points = 0
+    for constant, *weights in itertools.product(range(-2, 3), repeat=5):
+        terms = [AlphaTerm(1 if constant >= 0 else -1, None, abs(constant))]
+        for name, w in zip(names, weights):
+            if w:
+                terms.append(AlphaTerm(1 if w > 0 else -1, abs(w) if abs(w) > 1 else None, name))
+            else:
+                # Weight 0 as two terms that cancel.
+                terms += [AlphaTerm(1, 2, name), AlphaTerm(-1, 2, name)]
+        rng.shuffle(terms)
+        terms = tuple(terms)
+        want = Alphabet(constant, tuple((w, ATOM_VALUES[n]) for n, w in zip(names, weights)))
+        got = alphabet_of(terms)
+        assert got == want and hash(got) == hash(want), terms
+        assert got == oracle_alphabet_of(terms)
+        points += 1
+    assert points == 3125
+
+
+def test_the_atom_order_is_derived_from_the_alphabet_sort_key(monkeypatch):
+    def order(module):
+        return [name for name, _ in module._ATOM_ORDER]
+
+    def sort_key_order():
+        key = lambdaring._poly_sort_key
+        return sorted(ATOM_VALUES, key=lambda name: key((1, ATOM_VALUES[name])))
+
+    assert order(dsl) == sort_key_order()
+    # Under another sort key, a fresh copy of the module takes another order.
+    monkeypatch.setattr(
+        lambdaring, "_poly_sort_key", lambda cv: sorted(cv[1].items(), reverse=True)
+    )
+    spec = importlib.util.spec_from_file_location("narayana_lab._dsl_copy", dsl.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert order(copy) == sort_key_order() != order(dsl)
+
+
+def test_eval_text_calls_parse_and_evaluate_by_their_module_names(monkeypatch):
+    # The benchmark's tracer counts dsl.parse and dsl.evaluate by rebinding them.
+    calls = {"parse": 0, "evaluate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dsl, "parse", counting("parse", dsl.parse))
+    monkeypatch.setattr(dsl, "evaluate", counting("evaluate", dsl.evaluate))
+    assert eval_text("h2[q + 1]") == h_of(2, Alphabet(1, ((1, VALUE_Q),)))
+    assert calls == {"parse": 1, "evaluate": 1}
 
 
 def test_eval_domain_errors_propagate():

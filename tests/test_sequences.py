@@ -93,11 +93,15 @@ def test_readme_lists_every_memo_with_its_bound():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Per-n memos\n", 1)[1].split("\n### ", 1)[0]
     table, below = section.split("\n\n", 2)[1:]
+    header, _, *rows = table.splitlines()
+    columns = header.strip("| ").split(" | ")
+    assert columns == ["memo", "holds", "bound", "largest entry at the caps", "bound in bytes"]
     listed = {}
-    for row in table.splitlines()[2:]:
-        names, _, bound = row.strip("|").split(" | ")
-        for name in re.findall(r"`([\w.]+)`", names):
-            listed[f"narayana_lab.{name}"] = int(bound.split()[0])
+    for row in rows:
+        cells = row.strip("| ").split(" | ")
+        assert len(cells) == len(columns) and all(cells), row
+        for name in re.findall(r"`([\w.]+)`", cells[0]):
+            listed[f"narayana_lab.{name}"] = int(cells[2].split()[0])
     memos = package_memos()
     bounded = {name: fn.cache_info().maxsize for name, fn in memos.items()
                if fn.__name__ not in SINGLETONS}
