@@ -33,7 +33,7 @@ alphabet_of adds up the weights by atom name: the four atoms have four
 distinct values, none of them 0 or 1, so that is the merge Alphabet makes,
 and it orders the atoms by an order taken once from lambdaring's sort key.
 evaluate reads every value from one memo, _value, a functools.lru_cache of
-4096 entries.  Its key is built after the caps and alphabet_of: the basis,
+2048 entries.  Its key is built after the caps and alphabet_of: the basis,
 the index or partition, and the canonical Alphabet, or (r, n) for P{r,n}.
 So equal points written differently, such as h2[q + 1] and h2[1 + q], share
 one entry, and every field of the key is bounded by QUERY_CAP.  The text and
@@ -346,7 +346,7 @@ def evaluate(expr: Expr) -> PolyQQ:
 # Bounded above the largest per-process working set of the benchmark
 # workloads (1200 values for one query-distinct batch, 240 for the
 # query-repeat pool), so it evicts nothing there.
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=2048)
 def _value(basis: str, index: int | tuple[int, ...], point: Alphabet | None) -> PolyQQ:
     """The value of a query within the caps, by its canonical key (see the module docstring)."""
     if basis == "P":

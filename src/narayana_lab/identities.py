@@ -507,11 +507,14 @@ def _sched_lemma2(max_n: int, rng: random.Random) -> list[Params]:
 )
 def _lemma2(p: Params):
     n, z, a = p["n"], p["z"], ALPHABET_POOL[p["a"]]
+    # The weights 1/(z+k) over one denominator: integer weights per term and
+    # one Fraction product for the sum.
+    den = math.lcm(*range(z, z + n + 1))
     total = PolyQQ.zero()
     for k in range(n + 1):
         term = h_of(k, a.scaled(-(z + k))) * h_of(n - k, a.scaled(z + k))
-        total = total + term * Fraction(1, z + k)
-    return total, PolyQQ.zero()
+        total = total + term * (den // (z + k))
+    return total * Fraction(1, den), PolyQQ.zero()
 
 
 _ROT_Z_CHOICES = (1, 2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2))
@@ -738,11 +741,13 @@ def _sched_lemma4(max_n: int, rng: random.Random) -> list[Params]:
 def _lemma4(p: Params):
     n, z = p["n"], p["z"]
     a, b = ALPHABET_POOL[p["a"]], ALPHABET_POOL[p["b"]]
+    # The weights z/(z+k) over one denominator, as in lemma2.
+    den = math.lcm(*range(z, z + n + 1))
     total = PolyQQ.zero()
     for k in range(n + 1):
         term = h_of(k, a.scaled(-(z + k))) * h_of(n - k, a.scaled(z + k) + b)
-        total = total + term * Fraction(z, z + k)
-    return total, h_of(n, b)
+        total = total + term * (den * z // (z + k))
+    return total * Fraction(1, den), h_of(n, b)
 
 
 @_register(

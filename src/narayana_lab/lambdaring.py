@@ -16,7 +16,6 @@ decoded value, on the smaller of the matrices of mu and of its conjugate.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, Sequence
@@ -124,10 +123,6 @@ def _canonical(constant: int, atoms: tuple[tuple[int, PolyQQ], ...]) -> Alphabet
     return a
 
 
-# Bounded above the largest per-process working set of the benchmark
-# workloads (1385 values for verify --max-n 20, 500 for one query-distinct
-# batch), so it evicts nothing there.
-@lru_cache(maxsize=4096)
 def h_of(n: int, a: Alphabet) -> PolyQQ:
     """Complete function h_n at the point a.
 
@@ -157,12 +152,6 @@ def e_of(n: int, a: Alphabet) -> PolyQQ:
         raise ValueError("e_of needs n >= 0")
     h = h_of(n, -a)
     return -h if n % 2 else h
-
-
-@lru_cache(maxsize=4096)
-def h_series(a: Alphabet, order: int) -> TruncSeries:
-    """Generating series of the complete functions of a, truncated at the order."""
-    return TruncSeries([h_of(k, a) for k in range(order + 1)], order=order)
 
 
 def p_of(n: int, a: Alphabet) -> PolyQQ:

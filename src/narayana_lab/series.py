@@ -11,10 +11,6 @@ from typing import Iterable, Sequence
 from .poly import Coeff, PolyQQ, _as_poly
 
 
-class NotInvertibleError(ArithmeticError):
-    """Constant term is not a unit of the Laurent ring."""
-
-
 class TruncSeries:
     """Power series 1*u^0 + ... truncated after the coefficient of u^order."""
 
@@ -86,34 +82,6 @@ class TruncSeries:
                 if not cj.is_zero:
                     out[i + j] = out[i + j] + ci * cj
         return TruncSeries(out, order=n)
-
-    def inverse(self) -> TruncSeries:
-        """Multiplicative inverse; the constant term must be a Laurent unit."""
-        c0 = self._c[0]
-        if c0.is_zero or not c0.is_monomial():
-            raise NotInvertibleError(f"constant term {c0} is not invertible")
-        inv0 = c0 ** -1
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = PolyQQ.zero()
-            for k in range(1, n + 1):
-                if not self._c[k].is_zero:
-                    acc = acc + self._c[k] * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncSeries(out, order=self.order)
-
-    def int_pow(self, e: int) -> TruncSeries:
-        if e < 0:
-            return self.inverse().int_pow(-e)
-        acc = TruncSeries.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
 
     def reverse(self) -> TruncSeries:
         """Compositional inverse of a series with f(0)=0 and unit linear coefficient."""

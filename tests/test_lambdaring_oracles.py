@@ -2,9 +2,9 @@
 
 The library evaluates h_n[a] by the packed series product
 poly._series_product, and e_n[a] as (-1)^n h_n[-a].  Here they are checked
-against the truncated series product (1-u)^-c * prod (1-x*u)^-w built with
-TruncSeries.int_pow, with e_n read off the inverse of the series at -u;
-with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
+against the truncated series product (1-u)^-c * prod (1-x*u)^-w built from
+TruncSeries products and the test oracle series_inverse, with e_n read off
+the inverse of the series at -u; with sympy, against the expanded products (1-u)^-c * prod (1-x*u)^-w and
 (1+u)^c * prod (1+x*u)^w; and against the route h_of took before the
 packed product: an integer coefficient table and one subst_q up to two
 atoms, and from three a head/tail convolution.  s_of is checked against
@@ -33,13 +33,13 @@ from narayana_lab.lambdaring import (
     VALUE_Q,
     e_of,
     h_of,
-    h_series,
     s_of,
 )
 from narayana_lab.partitions import Partition, enumerate_partitions
 from narayana_lab.poly import PolyQQ
 from narayana_lab.rationals import gen_binomial
 from narayana_lab.series import TruncSeries
+from series_oracle import series_inverse
 
 Q = VALUE_Q
 Q2 = PolyQQ.var_q2()
@@ -57,13 +57,17 @@ def random_point(rng: random.Random, pool=ATOMS) -> Alphabet:
 
 
 def series_route_h(a: Alphabet, order: int) -> TruncSeries:
-    """The product form of H(u), one int_pow per atom."""
+    """The product form of H(u): per atom, |w| factors 1/(1 - x*u) or (1 - x*u)."""
     out = TruncSeries(
         [PolyQQ.const(gen_binomial(a.constant + k - 1, k)) for k in range(order + 1)],
         order=order,
     )
     for weight, value in a.atoms:
-        out = out * TruncSeries([ONE, -value], order=order).int_pow(-weight)
+        factor = TruncSeries([ONE, -value], order=order)
+        if weight > 0:
+            factor = series_inverse(factor)
+        for _ in range(abs(weight)):
+            out = out * factor
     return out
 
 
@@ -73,7 +77,7 @@ def series_route_e(n: int, a: Alphabet) -> PolyQQ:
     flipped = TruncSeries(
         [c if k % 2 == 0 else -c for k, c in enumerate(hs.coefficients())], order=n
     )
-    return flipped.inverse().coefficient(n)
+    return series_inverse(flipped).coefficient(n)
 
 
 def jacobi_trudi(h_at, mu: Partition) -> PolyQQ:
@@ -184,7 +188,6 @@ def test_h_takes_no_polynomial_product(monkeypatch):
     c = Alphabet(constant=3, atoms=((-3, Q),))
     d = Alphabet(atoms=((2, Q2), (1, ONE - Q)))
     expected = {(n, p): h_by_table(n, p) for n in range(12) for p in (a, b, -a, c, d)}
-    h_of.cache_clear()
     monkeypatch.setattr(PolyQQ, "__mul__", refuse)
     for (n, p), want in expected.items():
         assert h_of(n, p) == want, (n, p)
@@ -317,20 +320,11 @@ def test_s_at_a_constant_takes_no_determinant(monkeypatch):
         assert s_of(mu, Alphabet.of_constant(c)) == want, (mu, c)
 
 
-def test_h_series_is_the_series_of_h_values():
-    rng = random.Random(607)
-    for _ in range(40):
-        a = random_point(rng, WIDE_ATOMS)
-        assert h_series(a, 12) == series_route_h(a, 12), a
-
-
 def test_h_and_e_reach_no_series_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("series arithmetic on the h/e route")
 
-    for name in ("__mul__", "inverse", "int_pow"):
-        monkeypatch.setattr(TruncSeries, name, refuse)
-    h_of.cache_clear()
+    monkeypatch.setattr(TruncSeries, "__mul__", refuse)
     a = Alphabet(constant=-2, atoms=((2, Q), (-1, Q2), (3, VALUE_ONE_MINUS_Q), (1, ONE - Q2)))
     for n in range(9):
         assert h_of(n, a) is not None

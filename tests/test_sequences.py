@@ -1,13 +1,16 @@
+import gc
 import importlib
 import inspect
 import pkgutil
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import narayana_lab
+from narayana_lab.dsl import _value, eval_text
 from narayana_lab.identities import VERIFY_MAX_N_CAP, run_suite
 from narayana_lab.lambdaring import POWER_SUM_CAP, HSequence, hall_littlewood_principal
 from narayana_lab.partitions import Partition, enumerate_partitions
@@ -76,8 +79,8 @@ def package_memos() -> dict:
 def test_every_memo_in_the_package_is_bounded():
     memos = package_memos()
     assert {"narayana_lab.sequences.narayana_row", "narayana_lab.sequences.catalan",
-            "narayana_lab.sequences.jacobi11", "narayana_lab.lambdaring.h_of",
-            "narayana_lab.dsl._value", "narayana_lab.identities._thm6_table"} <= set(memos)
+            "narayana_lab.sequences.jacobi11", "narayana_lab.dsl._value",
+            "narayana_lab.identities._thm6_table"} <= set(memos)
     for name, fn in memos.items():
         if fn.__name__ in SINGLETONS:
             assert not inspect.signature(fn).parameters, name
@@ -89,26 +92,79 @@ def test_every_memo_in_the_package_is_bounded():
     assert narayana_hsequence().h(7) is narayana(7)
 
 
-def test_readme_lists_every_memo_with_its_bound():
+def readme_memo_table() -> tuple[list[list[str]], str]:
+    """The rows of README's memo table, as cells, and the text below it."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Per-n memos\n", 1)[1].split("\n### ", 1)[0]
     table, below = section.split("\n\n", 2)[1:]
     header, _, *rows = table.splitlines()
     columns = header.strip("| ").split(" | ")
     assert columns == ["memo", "holds", "bound", "largest entry at the caps", "bound in bytes"]
+    cells = [row.strip("| ").split(" | ") for row in rows]
+    for row in cells:
+        assert len(row) == len(columns) and all(row), row
+    return cells, below
+
+
+UNITS = {"B": 1, "KiB": 1 << 10, "MiB": 1 << 20}
+
+
+def byte_figures(text: str) -> list[float]:
+    """Every size such as "3.5 MiB" or "104 B" in the text, in bytes."""
+    return [float(x) * UNITS[unit] for x, unit in re.findall(r"([\d.]+) (B|KiB|MiB)\b", text)]
+
+
+def test_readme_lists_every_memo_with_its_bound():
+    rows, below = readme_memo_table()
     listed = {}
-    for row in rows:
-        cells = row.strip("| ").split(" | ")
-        assert len(cells) == len(columns) and all(cells), row
+    for cells in rows:
         for name in re.findall(r"`([\w.]+)`", cells[0]):
             listed[f"narayana_lab.{name}"] = int(cells[2].split()[0])
     memos = package_memos()
     bounded = {name: fn.cache_info().maxsize for name, fn in memos.items()
                if fn.__name__ not in SINGLETONS}
     assert listed == bounded
-    assert len(listed) == 11
+    assert len(listed) == 9
     for name in SINGLETONS:
         assert f"`{name}()`" in below, name
+    # The bound-in-bytes column adds up to the total stated below the table.
+    total = sum(sum(byte_figures(cells[4])) for cells in rows)
+    stated = re.search(r"They add up to about (\d+) MiB", below.replace("\n", " "))
+    assert stated and abs(total / UNITS["MiB"] - int(stated[1])) < 0.5, total / UNITS["MiB"]
+
+
+# Cap-level queries beside the two that README names as dsl._value's largest.
+_A = "[30 - 30*q + 30*Q - 30*q2 + 30*Q2]"
+_B = "[30 + 30*q + 30*Q + 30*q2 + 30*Q2]"
+_C = "[30*q - 30 - 30*Q + 30*q2 - 30*Q2]"
+CAP_QUERIES = (
+    f"e30{_A}", f"e30{_B}", f"h30{_B}", f"h30{_C}", f"e30{_C}", f"p30{_A}", "P{30,30}",
+    f"s{{10,5,5,5,5}}{_A}", f"s{{8,7,7,4,4}}{_A}", f"s{{6,5,5,5,5,3,1}}{_B}",
+)
+
+
+def test_value_memo_entries_keep_at_most_the_readme_figure():
+    # README's measure: the bytes that one new entry (value and text) leaves
+    # allocated, read by tracemalloc after one cap-level query has filled the
+    # shared table of monomial names.
+    cells = next(row for row in readme_memo_table()[0] if row[0] == "`dsl._value`")
+    figure = byte_figures(cells[3])[0]
+    named = [text for text in re.findall(r"`([^`]+)`", cells[3]) if "[" in text]
+    assert len(named) == 2, cells[3]
+    _value.cache_clear()
+    str(eval_text("h30[29 + 30*q + 30*Q + 30*q2 + 30*Q2]"))
+    tracemalloc.start()
+    try:
+        for size, text in enumerate(named + list(CAP_QUERIES), start=2):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            str(eval_text(text))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+            assert _value.cache_info().currsize == size, text
+            assert kept <= figure, (text, kept, figure)
+    finally:
+        tracemalloc.stop()
 
 
 def second_recurrence(n: int) -> PolyQQ:
