@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, Sequence
@@ -59,12 +60,13 @@ SUITE_VERSION = "1"
 DEFAULT_SEED = 1
 
 DEEP_SCHEDULE_BOUND = 20  # recurrence/convolution identities always reach this
-# The largest documented run: run_suite(max_n=30) takes 0.77-1.28 s (median
-# 0.95 s) from cold memos on one CPU of a shared 2-core host (Python 3.11);
-# the grid identities (thm4, thm5) grow steeply past it.
+# The largest documented run: run_suite(max_n=30) takes 0.79-1.04 s (median
+# 0.86 s, five fresh processes) from cold memos on one CPU of a shared 2-core
+# host (Python 3.11.7); the grid identities (thm4, thm5) grow steeply past it.
 VERIFY_MAX_N_CAP = 30
-# Each parameter's upper bound is the largest value its schedule reaches at
-# VERIFY_MAX_N_CAP, so check_identity refuses any case past what verify runs.
+# A _box schedule's domain is its box at VERIFY_MAX_N_CAP.  Every other domain
+# ends where its schedule ends there too, but lemma3-a's and lemma3-b's n may go
+# to partitions.SUBSET_CAP (12), past the 8 where their schedule stops.
 _CAP = VERIFY_MAX_N_CAP
 
 _Q = VALUE_Q
@@ -118,7 +120,7 @@ class Identity:
     schedule: Callable[[int, random.Random], list[Params]]
     evaluate: Callable[[Params], tuple[PolyQQ | Coeff, PolyQQ | Coeff]]
     # Bounds (lo, hi) per parameter; lo is None for a parameter unbounded below.
-    domain: dict[str, tuple[int | None, int]] = field(default_factory=dict)
+    domain: dict[str, tuple[int | None, int]]
     # Parameters that may be a Fraction; every other one must be an int.
     rational: tuple[str, ...] = ()
 
@@ -133,8 +135,11 @@ def _register(
     domain: dict[str, tuple[int | None, int]] | None = None,
     rational: tuple[str, ...] = (),
 ):
+    # A _box schedule carries its domain; every other schedule states its own.
+    domain = schedule.domain if domain is None else domain
+
     def deco(fn):
-        REGISTRY[id] = Identity(id, description, schedule, fn, domain or {}, rational)
+        REGISTRY[id] = Identity(id, description, schedule, fn, domain, rational)
         return fn
 
     return deco
@@ -170,25 +175,35 @@ def registered_ids() -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def _range_sched(name: str, lo: int, cap: int | None = None, deep: bool = False):
+def _max_n(max_n: int) -> int:
+    return max_n
+
+
+_deep = partial(max, DEEP_SCHEDULE_BOUND)
+
+
+def _box(**axes: tuple[int, int | Callable[[int], int]]):
+    """The schedule of every case in a box of parameter ranges, and its domain.
+
+    Each axis is a range (lo, hi) of one parameter, where hi is an int or a
+    function of max_n.  The schedule at max_n is every case of the box
+    lo..hi(max_n), the last axis outermost.  The domain, which _register
+    reads, is the same box at VERIFY_MAX_N_CAP: each parameter's upper bound
+    is the largest value its schedule reaches there, so check_identity
+    refuses any case past what verify runs.  The domain's keys keep the axes'
+    order, which sets the error check_identity reports first.
+    """
+
+    def box(max_n: int) -> list[tuple[int, int]]:
+        return [(lo, hi(max_n) if callable(hi) else hi) for lo, hi in axes.values()]
+
     def schedule(max_n: int, rng: random.Random) -> list[Params]:
-        hi = max(max_n, DEEP_SCHEDULE_BOUND) if deep else max_n
-        if cap is not None:
-            hi = min(hi, cap)
-        return [{name: v} for v in range(lo, hi + 1)]
+        # Cases that share thm4's and thm5's r, the length of their sums, run
+        # together: first axis outermost, suite-20's median case took 5% longer.
+        ranges = [range(lo, hi + 1) for lo, hi in reversed(box(max_n))]
+        return [dict(zip(axes, case[::-1])) for case in product(*ranges)]
 
-    return schedule
-
-
-def _grid_sched(deep: bool = True, lo_n: int = 1, lo_r: int = 1):
-    def schedule(max_n: int, rng: random.Random) -> list[Params]:
-        hi = max(max_n, DEEP_SCHEDULE_BOUND) if deep else max_n
-        return [
-            {"n": n, "r": r}
-            for r in range(lo_r, hi + 1)
-            for n in range(lo_n, hi + 1)
-        ]
-
+    schedule.domain = dict(zip(axes, box(VERIFY_MAX_N_CAP)))
     return schedule
 
 
@@ -215,18 +230,6 @@ ALPHABET_POOL: tuple[Alphabet, ...] = (
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gf_quadratic_residual(order: int) -> TruncSeries:
-    c = TruncSeries([narayana(k) for k in range(order + 1)], order=order)
-    c2 = c * c
-    zero = PolyQQ.zero()
-    # q*u*C^2 + (u*(1-q) - 1)*C + 1
-    shifted_sq = TruncSeries([zero] + [x * _Q for x in c2.coefficients()], order=order)
-    shifted_c = TruncSeries([zero] + [x * _OMQ for x in c.coefficients()], order=order)
-    out = shifted_sq + shifted_c - c
-    return TruncSeries([out.coefficient(0) + _ONE] + list(out.coefficients()[1:]), order=order)
-
-
 def _sched_gf(max_n: int, rng: random.Random) -> list[Params]:
     return [{"order": max_n, "k": k} for k in range(max_n + 1)]
 
@@ -238,17 +241,21 @@ def _sched_gf(max_n: int, rng: random.Random) -> list[Params]:
     domain={"order": (1, _CAP), "k": (0, _CAP)},
 )
 def _gf_quadratic(p: Params):
+    # [u^k] is q * sum_(i<k) C_i*C_(k-1-i) + (1-q)*C_(k-1) - C_k, and
+    # 1 - C_0 at k = 0; the sum is one packed product per coefficient.
     order, k = p["order"], p["k"]
     if k > order:
         raise ScheduleError("coefficient index beyond truncation order")
-    return _gf_quadratic_residual(order).coefficient(k), PolyQQ.zero()
+    if k == 0:
+        return _ONE - narayana(0), PolyQQ.zero()
+    conv = _sum_powers([(narayana_row(i), list(narayana_row(k - 1 - i))) for i in range(k)], _Q)
+    return _Q * conv + _OMQ * narayana(k - 1) - narayana(k), PolyQQ.zero()
 
 
 @_register(
     "vanishing-sum",
     "alternating sum of C(r+1,m)*C(2r-m,r) over m = 0..r vanishes",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _vanishing_sum(p: Params):
     r = p["r"]
@@ -320,8 +327,7 @@ def _chu_vandermonde(p: Params):
 @_register(
     "catalan-ratio",
     "(r+2)*Catalan(r+1) = 2*(2r+1)*Catalan(r)",
-    _range_sched("r", 0),
-    domain={"r": (0, _CAP)},
+    _box(r=(0, _max_n)),
 )
 def _catalan_ratio(p: Params):
     r = p["r"]
@@ -331,8 +337,7 @@ def _catalan_ratio(p: Params):
 @_register(
     "touchard",
     "Catalan(r) as a power-of-two weighted sum of earlier Catalan numbers",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _touchard(p: Params):
     r = p["r"]
@@ -353,8 +358,7 @@ def _touchard(p: Params):
     "thm1",
     "series route and double-binomial closed form of the principal one-row "
     "Hall-Littlewood value agree",
-    _grid_sched(deep=False),
-    domain={"r": (1, _CAP), "n": (1, _CAP)},
+    _box(r=(1, _max_n), n=(1, _max_n)),
 )
 def _thm1(p: Params):
     r, n = p["r"], p["n"]
@@ -365,8 +369,7 @@ def _thm1(p: Params):
 @_register(
     "thm2",
     "(r+1) * C_r(1-q) equals the principal Hall-Littlewood value at r+1 ones",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _thm2(p: Params):
     r = p["r"]
@@ -401,8 +404,7 @@ def _pieri_hook(p: Params):
 @_register(
     "new-formula",
     "q*C_r(q) as a centralizer-weighted sum over partitions of r",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _new_formula(p: Params):
     # The sum over partitions mu of r of w^(l(mu)-1)/z_mu * prod_i p_i^m_i, with
@@ -431,8 +433,7 @@ def _new_formula(p: Params):
 @_register(
     "odd-parts-schroeder",
     "small Schroeder number as a sum over partitions with all parts odd",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _odd_parts_schroeder(p: Params):
     # The sum over partitions mu of r into odd parts of w^(l(mu)-1)/z_mu, with
@@ -660,8 +661,7 @@ def _at_two(terms: _Terms, base: int) -> int:
 @_register(
     "koshy",
     "Catalan numbers satisfy the alternating binomial recurrence",
-    _range_sched("n", 1, deep=True),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _deep)),
 )
 def _koshy(p: Params):
     n = p["n"]
@@ -691,8 +691,7 @@ def _thm3_terms(n: int, large: Callable) -> _Terms:
 @_register(
     "thm3",
     "Narayana polynomials satisfy the alternating (1-q)-weighted recurrence",
-    _range_sched("n", 1, deep=True),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _deep)),
 )
 def _thm3(p: Params):
     n = p["n"]
@@ -702,8 +701,7 @@ def _thm3(p: Params):
 @_register(
     "thm3-schroeder",
     "small Schroeder numbers satisfy the signed binomial recurrence",
-    _range_sched("n", 1, deep=True),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _deep)),
 )
 def _thm3_schroeder(p: Params):
     n = p["n"]
@@ -753,8 +751,7 @@ def _lemma4(p: Params):
 @_register(
     "jonah",
     "binomial convolution of Catalan numbers equals C(n+1,r)",
-    _grid_sched(lo_n=0, lo_r=0),
-    domain={"n": (0, _CAP), "r": (0, _CAP)},
+    _box(n=(0, _deep), r=(0, _deep)),
 )
 def _jonah(p: Params):
     n, r = p["n"], p["r"]
@@ -767,8 +764,7 @@ def _jonah(p: Params):
 @_register(
     "jonah-alt",
     "binomial convolution of Catalan numbers from k = 1 equals C(n,r-1)",
-    _grid_sched(lo_n=0),
-    domain={"n": (0, _CAP), "r": (1, _CAP)},
+    _box(n=(0, _deep), r=(1, _deep)),
 )
 def _jonah_alt(p: Params):
     n, r = p["n"], p["r"]
@@ -814,8 +810,7 @@ def _thm4_sides(n: int, r: int, small: Callable, large: Callable) -> tuple[_Term
     "thm4",
     "Narayana analogue of the Catalan convolution: weighted double-binomial "
     "sums agree for all n, r",
-    _grid_sched(),
-    domain={"n": (1, _CAP), "r": (1, _CAP)},
+    _box(n=(1, _deep), r=(1, _deep)),
 )
 def _thm4(p: Params):
     lhs, rhs = _thm4_sides(p["n"], p["r"], narayana_row, large_narayana_row)
@@ -825,8 +820,7 @@ def _thm4(p: Params):
 @_register(
     "thm4-schroeder",
     "small-Schroeder corollary (q = 2) of the weighted convolution",
-    _grid_sched(),
-    domain={"n": (1, _CAP), "r": (1, _CAP)},
+    _box(n=(1, _deep), r=(1, _deep)),
 )
 def _thm4_schroeder(p: Params):
     small, large = partial(schroeder, "small"), partial(schroeder, "large")
@@ -862,8 +856,7 @@ def _thm5_terms(n: int, r: int, large: Callable) -> _Terms:
 @_register(
     "thm5",
     "large-Narayana convolution with (1-q)-weighted binomials equals C(n+1,r)",
-    _grid_sched(),
-    domain={"n": (1, _CAP), "r": (1, _CAP)},
+    _box(n=(1, _deep), r=(1, _deep)),
 )
 def _thm5(p: Params):
     n, r = p["n"], p["r"]
@@ -873,8 +866,7 @@ def _thm5(p: Params):
 @_register(
     "thm5-schroeder",
     "large-Schroeder corollary (q = 2) of the large-Narayana convolution",
-    _grid_sched(),
-    domain={"n": (1, _CAP), "r": (1, _CAP)},
+    _box(n=(1, _deep), r=(1, _deep)),
 )
 def _thm5_schroeder(p: Params):
     n, r = p["n"], p["r"]
@@ -911,8 +903,7 @@ def _thm6_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], t
     "thm6",
     "bivariate transition: (n+1) q'*C_n(q') expands over q*C_k(q) with "
     "(1-q), (q'-1) weights",
-    _range_sched("n", 1),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _max_n)),
 )
 def _thm6(p: Params):
     # Grouped by the power of y = q'-1, the sum is sum_j y^j * A_j(q), where
@@ -932,17 +923,10 @@ def _thm6(p: Params):
     return lhs, PolyQQ(slices).subst_q(_Q, q2=_Q2M1)
 
 
-def _sched_two_displays(max_n: int, rng: random.Random) -> list[Params]:
-    return [
-        {"n": n, "display": d} for n in range(1, max_n + 1) for d in (1, 2)
-    ]
-
-
 @_register(
     "thm6-spec-q1",
     "transition specialized at 1: Catalan against large-Narayana expansions",
-    _sched_two_displays,
-    domain={"n": (1, _CAP), "display": (1, 2)},
+    _box(n=(1, _max_n), display=(1, 2)),
 )
 def _thm6_spec_q1(p: Params):
     n, display = p["n"], p["display"]
@@ -959,8 +943,7 @@ def _thm6_spec_q1(p: Params):
 @_register(
     "thm6-spec-q2",
     "transition specialized at 2: large Schroeder against large-Narayana",
-    _sched_two_displays,
-    domain={"n": (1, _CAP), "display": (1, 2)},
+    _box(n=(1, _max_n), display=(1, 2)),
 )
 def _thm6_spec_q2(p: Params):
     n, display = p["n"], p["display"]
@@ -987,17 +970,10 @@ def _thm6_spec_q2(p: Params):
 # --------------------------------------------------------------------------
 
 
-def _sched_thm7(max_n: int, rng: random.Random) -> list[Params]:
-    return [
-        {"k": k, "shape": s} for k in range(1, min(max_n, 6) + 1) for s in (0, 1)
-    ]
-
-
 @_register(
     "thm7",
     "square and near-square rectangle Schur values are (-q)^(k choose 2)",
-    _sched_thm7,
-    domain={"k": (1, 6), "shape": (0, 1)},
+    _box(k=(1, partial(min, 6)), shape=(0, 1)),
 )
 def _thm7(p: Params):
     k, shape = p["k"], p["shape"]
@@ -1032,8 +1008,7 @@ def _cf_alternating(p: Params):
 @_register(
     "thm8",
     "closed form of the Narayana power sums matches the Newton extraction",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _thm8(p: Params):
     r = p["r"]
@@ -1043,8 +1018,7 @@ def _thm8(p: Params):
 @_register(
     "pa1-central",
     "power sums of the Catalan alphabet are central binomials C(2r-1,r-1)",
-    _range_sched("r", 1),
-    domain={"r": (1, _CAP)},
+    _box(r=(1, _max_n)),
 )
 def _pa1_central(p: Params):
     r = p["r"]
@@ -1054,8 +1028,7 @@ def _pa1_central(p: Params):
 @_register(
     "newton-catalan",
     "Newton recurrence at the Catalan alphabet collapses to C(2n,n-1)",
-    _sched_two_displays,
-    domain={"n": (1, _CAP), "display": (1, 2)},
+    _box(n=(1, _max_n), display=(1, 2)),
 )
 def _newton_catalan(p: Params):
     n, display = p["n"], p["display"]
@@ -1099,8 +1072,7 @@ def _jacobi_bridge(p: Params):
     "hl-jacobi",
     "n * P_n(1^{n+1};q) equals (n+1)(-q)^(n-1) times the Jacobi (1,1) value "
     "at 1 - 2/q, as Laurent polynomials",
-    _range_sched("n", 1),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _max_n)),
 )
 def _hl_jacobi(p: Params):
     n = p["n"]
@@ -1113,8 +1085,7 @@ def _hl_jacobi(p: Params):
 @_register(
     "jacobi-binomial",
     "the two binomial expansions behind the Jacobi bridge agree termwise",
-    _range_sched("n", 1),
-    domain={"n": (1, _CAP)},
+    _box(n=(1, _max_n)),
 )
 def _jacobi_binomial(p: Params):
     n = p["n"]
@@ -1130,8 +1101,7 @@ def _jacobi_binomial(p: Params):
 @_register(
     "typeB-central",
     "type-B polynomial as a central-binomial expansion in z and z+1",
-    _range_sched("r", 0),
-    domain={"r": (0, _CAP)},
+    _box(r=(0, _max_n)),
 )
 def _type_b_central(p: Params):
     r = p["r"]
@@ -1147,8 +1117,7 @@ def _type_b_central(p: Params):
 @_register(
     "strinc",
     "ascent-graded word count equals the principal Hall-Littlewood value",
-    _range_sched("n", 1, cap=8),
-    domain={"n": (1, 8)},
+    _box(n=(1, partial(min, 8))),
 )
 def _strinc(p: Params):
     n = p["n"]
@@ -1170,16 +1139,11 @@ _SCHUR_TABLE_6: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (
 )
 
 
-def _sched_schur_table(max_n: int, rng: random.Random) -> list[Params]:
-    return [{"i": i} for i in range(len(_SCHUR_TABLE_6))]
-
-
 @_register(
     "schur-table-6",
     "all eleven weight-6 Schur values of the Narayana alphabet match the "
     "frozen signed table",
-    _sched_schur_table,
-    domain={"i": (0, len(_SCHUR_TABLE_6) - 1)},
+    _box(i=(0, len(_SCHUR_TABLE_6) - 1)),
 )
 def _schur_table_6(p: Params):
     parts, coeffs = _SCHUR_TABLE_6[p["i"]]

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 from .partitions import Partition, composition_multiplicity
 from .poly import Coeff, PolyQQ, _as_poly, _schur, _series_product
 from .rationals import gen_binomial
-from .series import TruncSeries
 
 _ONE = PolyQQ.one()
 VALUE_Q = PolyQQ.var_q()
@@ -289,12 +288,15 @@ def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    prev = TruncSeries.one(depth + 1)
-    cur = TruncSeries([hseq.h(k) for k in range(depth + 2)], order=depth + 1)
+    # P_k as the list of its coefficients through u^(depth+2-k), the ones the
+    # levels left read; P_0 = 1 is the list [1].
+    prev = [_ONE]
+    cur = [hseq.h(k) for k in range(depth + 2)]
     coeffs: list[PolyQQ] = []
     for _ in range(depth):
-        diff = cur - prev
-        c = diff.coefficient(1)
+        # P_1 - P_0 keeps P_1's tail past [1]; after it P_k is the shorter list.
+        diff = [a - b for a, b in zip(cur, prev)] + cur[len(prev):]
+        c = diff[1]
         if c.is_zero:
             raise ArithmeticError(
                 f"zero coefficient after {len(coeffs)} continued-fraction levels"
@@ -303,8 +305,5 @@ def sfraction(hseq: HSequence, depth: int) -> list[PolyQQ]:
             raise ArithmeticError(f"non-monomial continued-fraction coefficient {c}")
         coeffs.append(c)
         inv = c ** -1
-        prev, cur = cur, TruncSeries(
-            [diff.coefficient(k + 1) * inv for k in range(diff.order)],
-            order=diff.order - 1,
-        )
+        prev, cur = cur, [x * inv for x in diff[1:]]
     return coeffs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -118,6 +119,32 @@ def test_schedules_at_the_cap_stay_inside_their_domains():
                 for name, (lo, hi) in ident.domain.items():
                     value = params[name]
                     assert (lo is None or lo <= value) and value <= hi, (id, params, name)
+
+
+# The identities whose schedule is a box of ranges and carries its own domain.
+BOX_IDS = sorted(id for id, ident in REGISTRY.items() if hasattr(ident.schedule, "domain"))
+
+
+@pytest.mark.parametrize("id", BOX_IDS)
+def test_box_domains_end_where_their_schedules_end(id, monkeypatch):
+    # The domain is the box the schedule runs at VERIFY_MAX_N_CAP: one past
+    # either end of an axis, with every other parameter in range, is refused
+    # before any work.
+    ident = REGISTRY[id]
+    cases = ident.schedule(VERIFY_MAX_N_CAP, random.Random(0))
+    box = {name: (min(c[name] for c in cases), max(c[name] for c in cases)) for name in cases[0]}
+    assert list(box.items()) == list(ident.domain.items())
+
+    def evaluate(params):
+        raise AssertionError(f"{id} evaluated {params}")
+
+    monkeypatch.setitem(REGISTRY, id, dataclasses.replace(ident, evaluate=evaluate))
+    inside = {name: lo for name, (lo, _) in box.items()}
+    for name, (lo, hi) in box.items():
+        with pytest.raises(ScheduleError, match=f"parameter {name}={lo - 1} below {lo}$"):
+            check_identity(id, {**inside, name: lo - 1})
+        with pytest.raises(ScheduleError, match=f"parameter {name}={hi + 1} above {hi}$"):
+            check_identity(id, {**inside, name: hi + 1})
 
 
 def test_report_order_needs_no_fraction_key():

@@ -11,10 +11,13 @@ import narayana_lab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Modules that only `verify` (identities), the table and cf commands
+# Modules that only `verify` (identities, series), the table and cf commands
 # (sequences) or the report writer (json) need.
-COLD = ("narayana_lab.identities", "narayana_lab.sequences", "dataclasses", "inspect", "json")
-QUERY_MODULES = ["cli", "dsl", "lambdaring", "partitions", "poly", "rationals", "series"]
+COLD = (
+    "narayana_lab.identities", "narayana_lab.series", "narayana_lab.sequences",
+    "dataclasses", "inspect", "json",
+)
+QUERY_MODULES = ["cli", "dsl", "lambdaring", "partitions", "poly", "rationals"]
 
 PUBLIC_NAMES = [
     "Alphabet", "HSequence", "IdentityCase", "Partition", "PolyQQ", "SuiteReport",
@@ -56,7 +59,7 @@ def test_importing_the_package_loads_none_of_its_modules():
         (["hl", "--r", "3", "--n", "4"], []),
         (["table", "narayana", "--max-n", "3"], ["sequences"]),
         (["cf", "--depth", "4"], ["sequences"]),
-        (["verify", "--max-n", "3", "--id", "thm1"], ["identities", "sequences"]),
+        (["verify", "--max-n", "3", "--id", "thm1"], ["identities", "sequences", "series"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):

@@ -124,7 +124,7 @@ def test_readme_lists_every_memo_with_its_bound():
     bounded = {name: fn.cache_info().maxsize for name, fn in memos.items()
                if fn.__name__ not in SINGLETONS}
     assert listed == bounded
-    assert len(listed) == 9
+    assert len(listed) == 8
     for name in SINGLETONS:
         assert f"`{name}()`" in below, name
     # The bound-in-bytes column adds up to the total stated below the table.
