@@ -32,6 +32,7 @@ from .lambdaring import (
     strinc_oracle,
 )
 from .partitions import (
+    SUBSET_CAP,
     Partition,
     composition_multiplicity,
     decompositions,
@@ -123,6 +124,8 @@ class Identity:
     domain: dict[str, tuple[int | None, int]]
     # Parameters that may be a Fraction; every other one must be an int.
     rational: tuple[str, ...] = ()
+    # Parameters outside the domain that the evaluator reads; no other one is taken.
+    optional: tuple[str, ...] = ()
 
 
 REGISTRY: dict[str, Identity] = {}
@@ -134,12 +137,13 @@ def _register(
     schedule: Callable[[int, random.Random], list[Params]],
     domain: dict[str, tuple[int | None, int]] | None = None,
     rational: tuple[str, ...] = (),
+    optional: tuple[str, ...] = (),
 ):
     # A _box schedule carries its domain; every other schedule states its own.
     domain = schedule.domain if domain is None else domain
 
     def deco(fn):
-        REGISTRY[id] = Identity(id, description, schedule, fn, domain, rational)
+        REGISTRY[id] = Identity(id, description, schedule, fn, domain, rational, optional)
         return fn
 
     return deco
@@ -152,6 +156,8 @@ def check_identity(id: str, params: Params) -> IdentityCase:
     except KeyError:
         raise UnknownIdentityError(f"unknown identity id {id!r}") from None
     for name, value in params.items():
+        if name not in ident.domain and name not in ident.optional:
+            raise ScheduleError(f"{id}: unknown parameter {name!r}")
         if type(value) is not int and not (type(value) is Fraction and name in ident.rational):
             raise ScheduleError(f"{id}: parameter {name}={value!r} is not an int")
     for name, (lo, hi) in ident.domain.items():
@@ -478,6 +484,7 @@ def _sched_lagrange(max_n: int, rng: random.Random) -> list[Params]:
     "reproduces q*C_r at 1-q",
     _sched_lagrange,
     domain={"r": (1, 10), "form": (0, 1)},
+    optional=("a",),
 )
 def _lagrange_thm2(p: Params):
     r, form = p["r"], p["form"]
@@ -487,6 +494,8 @@ def _lagrange_thm2(p: Params):
             raise ScheduleError(f"alphabet index {idx!r} out of schedule")
         a = ALPHABET_POOL[idx]
         return _hstar(r, a) * (r + 1), h_of(r, a.scaled(-(r + 1)))
+    if "a" in p:
+        raise ScheduleError("form 1 reads no alphabet index a")
     point = Alphabet(constant=-1, atoms=((1, _Q),))  # q - 1 with q of rank 1
     return _hstar(r, point), large_narayana(r).subst_q(_OMQ)
 
@@ -559,6 +568,8 @@ def _rot(p: Params):
 
 _LEMMA3_X = (-4, 6)
 _LEMMA3_Y = (-5, 5)
+# x1..xn and y1..yn, for n up to the domain's bound.
+_LEMMA3_OPTIONAL = tuple(f"{v}{i}" for i in range(1, SUBSET_CAP + 1) for v in "xy")
 
 
 def _sched_lemma3(max_n: int, rng: random.Random) -> list[Params]:
@@ -575,8 +586,9 @@ def _sched_lemma3(max_n: int, rng: random.Random) -> list[Params]:
 
 def _lemma3_sides(p: Params, full: bool) -> tuple[int, int]:
     n = p["n"]
-    if any(f"{v}{i}" not in p for i in range(1, n + 1) for v in "xy"):
-        raise ScheduleError(f"parameters x1..x{n} and y1..y{n} are required")
+    # check_identity took no name but n, x1..x12 and y1..y12.
+    if len(p) != 2 * n + 1 or any(f"{v}{i}" not in p for i in range(1, n + 1) for v in "xy"):
+        raise ScheduleError(f"parameters x1..x{n} and y1..y{n} are required, and no other")
     xs = [p[f"x{i}"] for i in range(1, n + 1)]
     ys = [p[f"y{i}"] for i in range(1, n + 1)]
     # The schedule's ranges, refused past before any work: a sum over 2^n
@@ -604,7 +616,8 @@ def _lemma3_sides(p: Params, full: bool) -> tuple[int, int]:
     "lemma3-a",
     "alternating subset sum of full products (|A|+y_i) equals n! * prod(x)",
     _sched_lemma3,
-    domain={"n": (1, 12)},
+    domain={"n": (1, SUBSET_CAP)},
+    optional=_LEMMA3_OPTIONAL,
 )
 def _lemma3_a(p: Params):
     return _lemma3_sides(p, full=True)
@@ -614,7 +627,8 @@ def _lemma3_a(p: Params):
     "lemma3-b",
     "alternating subset sum of the first n-1 products (|A|+y_i) vanishes",
     _sched_lemma3,
-    domain={"n": (1, 12)},
+    domain={"n": (1, SUBSET_CAP)},
+    optional=_LEMMA3_OPTIONAL,
 )
 def _lemma3_b(p: Params):
     return _lemma3_sides(p, full=False)

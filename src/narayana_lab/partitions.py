@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .rationals import exact_div, factorial
 
@@ -68,22 +68,16 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def enumerate_partitions(
-    n: int, predicate: Callable[[Partition], bool] | None = None
-) -> Iterator[Partition]:
-    """All partitions of n in reverse-lexicographic order, optionally filtered."""
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n == 0:
-        p = Partition()
-        if predicate is None or predicate(p):
-            yield p
+        yield Partition()
         return
     parts = [n]
     while True:
-        p = Partition(parts)
-        if predicate is None or predicate(p):
-            yield p
+        yield Partition(parts)
         # Decrement the rightmost part exceeding 1, then greedily refill.
         i = len(parts) - 1
         while i >= 0 and parts[i] == 1:

@@ -9,8 +9,9 @@ is scaled to integer numerators over the lcm of its denominators (1, with
 nothing copied, for an integer polynomial), the kernel accumulates ints, and a
 Fraction is built once per output value, at the boundary.  The kernels pack
 values into Python ints at t = 2^w (Kronecker substitution), so that the work
-runs in CPython's bigint arithmetic, and read the result's digits once
-(_unpack, _decode):
+runs in CPython's bigint arithmetic.  Each one maps a value, shifted so that
+no exponent is negative, by q -> t, q2 -> t^S, and reads the result's digits
+once (_unpack, _decode):
 
 - sums of powers sum c_ab*x^a*y^b, from subst_q or from _sum_powers: _horner
   packs each dense int row into one int;
@@ -377,9 +378,9 @@ class PolyQQ:
         Every shape runs on dense integer rows over one denominator.  self, x
         and y are scaled once to integer numerators (x = xn/dx, y = yn/dy).
         Every value is put into one Laurent row in t by the ring map
-        q -> t, q2 -> t^S, or q -> t^S, q2 -> t, with S wider than the window
-        that the result's exponents of the t-variable lie in.  _horner sums,
-        for each q2-exponent b, y^b (or the kept q2^b) times sum_a c_ab*x^a.
+        q -> t, q2 -> t^S, S wider than the window of the result's
+        q-exponents, and _decode reads the result back.  _horner sums, for
+        each q2-exponent b, y^b (or the kept q2^b) times sum_a c_ab*x^a.
 
         Time and memory grow with the exponent window times the slot width,
         not with the number of terms.  The rows span K times the spread of x's
@@ -399,40 +400,25 @@ class PolyQQ:
             raise ValueError("substitution into a negative exponent")
         xn, dx = _numerators(_as_poly(replacement)._terms)
         a_top = max(a_exps)
-        if q2 is None:
-            # The kept q2^b is y^(b-b_lo) * q2^b_lo for y = q2.
-            yn, dy, b_lo = {(0, 1): 1}, 1, min(b_exps)
-            windows = ((0, 0), (b_lo, max(b_exps)))
-        else:
-            (yn, dy), b_lo, b_top = _numerators(_as_poly(q2)._terms), 0, max(b_exps)
-            windows = (_window(yn, 0, b_top), _window(yn, 1, b_top))
-        # t runs along the variable that the sums over b spread in (q on a
-        # tie), so that the powers of y and the groups are dense rows.
-        fast = int(windows[1][1] - windows[1][0] > windows[0][1] - windows[0][0])
-        x_lo, x_hi = _window(xn, fast, a_top)
-        lo = x_lo + windows[fast][0]
-        stride = x_hi + windows[fast][1] - lo + 1
-        w_q, w_q2 = (1, stride) if fast == 0 else (stride, 1)
+        # Without q2, y = q2 and the kept q2^b is y^(b-b_lo) * q2^b_lo.
+        yn, dy = _numerators(_Q2._terms if q2 is None else _as_poly(q2)._terms)
+        b_lo = min(b_exps) if q2 is None else 0
+        x_lo, x_hi = _window(xn, a_top)
+        y_lo, y_hi = _window(yn, max(b_exps) - b_lo)
+        lo = x_lo + y_lo
+        stride = x_hi + y_hi - lo + 1
         # One triple per q2-exponent b: the row 1, the power of y, and the
         # coefficients of x^0, x^1, ... that go with it.
         by_b: dict[int, list[int]] = {}
         for (a, b), c in nums.items():
             by_b.setdefault(b, [0] * (a_top + 1))[a] = c
         pairs = [([1], b - b_lo, coeffs) for b, coeffs in by_b.items()]
-        x_row = _dense({a * w_q + b * w_q2: c for (a, b), c in xn.items()})
-        y_row = _dense({a * w_q + b * w_q2: c for (a, b), c in yn.items()})
+        x_row = _dense({a + b * stride: c for (a, b), c in xn.items()})
+        y_row = _dense({a + b * stride: c for (a, b), c in yn.items()})
         (start, row), scale = _horner(pairs, x_row, dx, y_row, dy)
-        start += b_lo * w_q2
-        d *= scale
-        unpacked: dict[ExpPair, Coeff] = {}
-        for e, c in enumerate(row, start - lo):
-            if c:
-                slow, f = divmod(e, stride)
-                if d != 1:
-                    whole, r = divmod(c, d)
-                    c = Fraction(c, d) if r else whole
-                unpacked[(f + lo, slow) if fast == 0 else (slow, f + lo)] = c
-        return _wrap(unpacked)
+        # With the kept q2^b_lo, the row's first slot is q^(lo + pad) * q2^lo2.
+        lo2, pad = divmod(start + b_lo * stride - lo, stride)
+        return _decode([0] * pad + row, stride, stride, lo, lo2, d * scale)
 
     # -- rendering ----------------------------------------------------------
 
@@ -499,9 +485,9 @@ def _monomial_name(exps: ExpPair) -> str:
 _Row = tuple[int, Sequence[int]]
 
 
-def _window(terms: dict[ExpPair, int], i: int, n: int) -> tuple[int, int]:
-    """Bounds on exponent i over every product of at most n factors of terms."""
-    exps = [e[i] for e in terms] or [0]
+def _window(terms: dict[ExpPair, int], n: int) -> tuple[int, int]:
+    """Bounds on the q-exponent over every product of at most n factors of terms."""
+    exps = [a for a, _ in terms] or [0]
     return n * min(0, min(exps)), n * max(0, max(exps))
 
 
@@ -633,9 +619,7 @@ def _sum_powers(terms: list[tuple[tuple[int, ...], list[int]]], x: PolyQQ) -> Po
     xn, dx = _numerators(x._terms)
     x_row = _dense({a: c for (a, _), c in xn.items()})
     (start, row), d = _horner([(row, 0, coeffs) for row, coeffs in terms], x_row, dx)
-    if d == 1:
-        return _wrap({(a, 0): c for a, c in enumerate(row, start) if c})
-    return _wrap({(a, 0): _quotient(c, d) for a, c in enumerate(row, start) if c})
+    return _decode(row, len(row) or 1, len(row), start, 0, d)
 
 
 def _series_product(factors: Sequence[tuple[int, PolyQQ]], n: int, lo: int) -> list[PolyQQ]:
@@ -660,8 +644,8 @@ def _packed_row(
     """[u^lo..u^n] of prod (1 - z*u)^-w packed into ints, with the scaling that gives z from x.
 
     The x of the pairs (w, x), each nonzero, are scaled to integer
-    numerators z over one lcm d, and shifted by q^-s * q2^-s2 (s, s2 the
-    lowest exponents, or 0) so that every exponent is >= 0; then [u^m] of
+    numerators z over one lcm d, and shifted by q^-s * q2^-s2 (s, s2 their
+    lowest exponents) so that the lowest exponents are 0; then [u^m] of
     prod (1 - x*u)^-w is d^-m * q^(m*s) * q2^(m*s2) times [u^m] of
     prod (1 - z*u)^-w.  With A and B the largest q- and q2-exponents of the
     shifted z, a product of such [u^m] whose m sum to at most span has its
@@ -684,7 +668,7 @@ def _packed_row(
         for w, z, dz in scaled
     ]
     a_exps, b_exps = zip(*[e for _, z in nums for e in z])
-    s, s2 = min(0, min(a_exps)), min(0, min(b_exps))
+    s, s2 = min(a_exps), min(b_exps)
     top, top2 = max(a_exps) - s, max(b_exps) - s2
     stride = span * top + 1
     bound = _convolve(

@@ -103,6 +103,18 @@ def test_params_out_of_schedule():
     with pytest.raises(ScheduleError):
         check_identity("rot", {"w": Fraction(1), "i": 0, "z": 1})
     assert check_identity("rot", {"w": 2, "i": 0, "z": Fraction(1, 2)}).passed
+    # A name that the identity does not declare, refused before any work.
+    with pytest.raises(ScheduleError, match="unknown parameter 'junk'"):
+        check_identity("thm6", {"n": 3, "junk": 10**9})
+    with pytest.raises(ScheduleError, match="unknown parameter 'a'"):
+        check_identity("koshy", {"n": 4, "a": 0})
+    with pytest.raises(ScheduleError, match="unknown parameter 'x13'"):
+        check_identity("lemma3-a", {"n": 1, "x1": 1, "y1": 0, "x13": 0})
+    # A declared name that this case does not read.
+    with pytest.raises(ScheduleError, match="no other"):
+        check_identity("lemma3-b", {"n": 1, "x1": 1, "y1": 0, "x2": 0})
+    with pytest.raises(ScheduleError, match="no alphabet index"):
+        check_identity("lagrange-thm2", {"r": 2, "form": 1, "a": 0})
     # Past the largest value a schedule reaches at VERIFY_MAX_N_CAP, refused
     # before any work (thm6 at n = 120 takes seconds).
     with pytest.raises(ScheduleError, match="above"):
@@ -328,7 +340,8 @@ def test_odd_parts_schroeder_equals_the_partition_sum():
     for r in range(1, VERIFY_MAX_N_CAP + 1):
         total = sum(
             Fraction((2 * r + 2) ** (mu.length - 1), z_of(mu))
-            for mu in enumerate_partitions(r, lambda m: all(x % 2 == 1 for x in m))
+            for mu in enumerate_partitions(r)
+            if all(x % 2 == 1 for x in mu)
         )
         case = check_identity("odd-parts-schroeder", {"r": r})
         assert case.lhs == PolyQQ.const(total) and case.passed, r

@@ -25,7 +25,7 @@ def partition_count_oracle(n: int) -> int:
 def test_examples():
     assert len(list(enumerate_partitions(4))) == 5
     assert list(enumerate_partitions(0)) == [Partition()]
-    odd = list(enumerate_partitions(5, lambda p: all(x % 2 == 1 for x in p)))
+    odd = [p for p in enumerate_partitions(5) if all(x % 2 == 1 for x in p)]
     assert odd == [Partition((5,)), Partition((3, 1, 1)), Partition((1,) * 5)]
 
 
@@ -82,7 +82,8 @@ def test_composition_multiplicity_examples():
     assert composition_multiplicity(Partition()) == 1
     two_parts_of_5 = [
         composition_multiplicity(mu)
-        for mu in enumerate_partitions(5, lambda p: p.length == 2)
+        for mu in enumerate_partitions(5)
+        if mu.length == 2
     ]
     assert sum(two_parts_of_5) == 4
 
@@ -92,7 +93,8 @@ def test_composition_multiplicity_sums():
         for k in range(1, r + 1):
             total = sum(
                 composition_multiplicity(mu)
-                for mu in enumerate_partitions(r, lambda p: p.length == k)
+                for mu in enumerate_partitions(r)
+                if mu.length == k
             )
             assert total == gen_binomial(r - 1, k - 1), (r, k)
 
